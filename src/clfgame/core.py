@@ -19,6 +19,7 @@ Two per-sample metrics drive everything downstream:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -188,6 +189,13 @@ class Strategy:
         return k if self.probs[k] == 1.0 else None
 
 
+def _is_finite(value: float) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     ok: bool
@@ -209,10 +217,13 @@ def validate_spec(spec: GameSpec) -> ValidationReport:
     if m < 2:
         bad.append("at least two attack actions required (one real attack plus no-attack)")
 
+    # NaN passes every range comparison below, so finiteness is checked first
     for model in spec.models:
         if not 0.0 <= model.acc <= 1.0:
             bad.append(f"model {model.name!r}: acc out of [0,1]")
-        if model.ongoing_cost < 0.0:
+        if not _is_finite(model.ongoing_cost):
+            bad.append(f"model {model.name!r}: ongoing_cost must be finite")
+        elif model.ongoing_cost < 0.0:
             bad.append(f"model {model.name!r}: ongoing_cost must be >= 0")
 
     flagged = [a for a in spec.attacks if a.no_attack]
@@ -221,7 +232,9 @@ def validate_spec(spec: GameSpec) -> ValidationReport:
     elif not spec.attacks[-1].no_attack:
         bad.append("the NoAttack action must be last in the attack list")
     for attack in spec.attacks:
-        if attack.ongoing_cost < 0.0:
+        if not _is_finite(attack.ongoing_cost):
+            bad.append(f"attack {attack.name!r}: ongoing_cost must be finite")
+        elif attack.ongoing_cost < 0.0:
             bad.append(f"attack {attack.name!r}: ongoing_cost must be >= 0")
         if attack.no_attack and attack.ongoing_cost != 0.0:
             bad.append("NoAttack ongoing cost must be exactly 0")
@@ -231,6 +244,8 @@ def validate_spec(spec: GameSpec) -> ValidationReport:
         bad.append(
             f"robustness shape {rob.shape} does not match (N, M-1) = ({n}, {m - 1})"
         )
+    elif not np.all(np.isfinite(rob)):
+        bad.append("robustness must be finite")
     elif rob.size and (np.any(rob < 0.0) or np.any(rob > 1.0)):
         bad.append("robustness out of [0,1]")
 
@@ -243,7 +258,9 @@ def validate_spec(spec: GameSpec) -> ValidationReport:
         ("i_def", e.i_def),
         ("i_adv", e.i_adv),
     ):
-        if value < 0.0:
+        if not _is_finite(value):
+            bad.append(f"economics: {label} must be finite")
+        elif value < 0.0:
             bad.append(f"economics: {label} must be >= 0")
     if e.r_plus_adv + e.r_minus_adv <= 0.0:
         bad.append("economics: r_plus_adv + r_minus_adv must be positive")

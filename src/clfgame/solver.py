@@ -17,7 +17,9 @@ finite game theory on them:
 * a brute-force simplex-grid oracle used to cross-check the above.
 
 Enumeration costs grow combinatorially, so the enumerating entry points
-refuse games with more than ``MAX_ENUM_ACTIONS`` actions per side.
+refuse games with more than ``MAX_ENUM_ACTIONS`` actions per side.  Both
+enumerations solve their small indifference systems in stacked LAPACK
+batches (:func:`_stacked_indifference`) rather than one call at a time.
 """
 
 from __future__ import annotations
@@ -32,6 +34,11 @@ from .payoff import PayoffMatrices, mu_def
 
 DEFAULT_TOL = DEFAULT_EPS
 MAX_ENUM_ACTIONS = 12
+
+# Indifference systems per stacked LAPACK call.  Bounds the scratch arrays
+# (a chunk of the largest systems the size guard admits, 13 x 13, is about
+# 5 MB per array) however many support pairs a size class has.
+_STACK_CHUNK = 4096
 
 
 class SolverGuardError(RuntimeError):
@@ -166,6 +173,67 @@ def _mixing_weights(
     return x_full, degenerate
 
 
+def _stacked_indifference(a: np.ndarray, row_sets: np.ndarray, col_sets: np.ndarray):
+    """The systems :func:`_mixing_weights` builds, for many pairs at once.
+
+    Pair ``p`` joins ``row_sets[p // Q]`` with ``col_sets[p % Q]`` (``Q``
+    column sets), the order of a loop over row sets around a loop over
+    column sets.  Yields ``(rows, lhs, sol, solved)`` per chunk of at most
+    ``_STACK_CHUNK`` pairs: the chunk's row sets ``(B, k)``, its systems
+    ``(B, l+1, k+1)``, and for square systems that ``np.linalg.solve``
+    accepts (``solved``) their solutions ``(B, k+1)``, bit-identical to
+    solving each system on its own; other rows of ``sol`` are NaN.
+    """
+    n_col_sets = len(col_sets)
+    k, l = row_sets.shape[1], col_sets.shape[1]
+    n_pairs = len(row_sets) * n_col_sets
+    for lo in range(0, n_pairs, _STACK_CHUNK):
+        pairs = np.arange(lo, min(lo + _STACK_CHUNK, n_pairs))
+        rows = row_sets[pairs // n_col_sets]
+        cols = col_sets[pairs % n_col_sets]
+        lhs = np.zeros((len(pairs), l + 1, k + 1))
+        lhs[:, :l, :k] = a[rows[:, None, :], cols[:, :, None]]
+        lhs[:, :l, k] = -1.0
+        lhs[:, l, :k] = 1.0
+        sol = np.full((len(pairs), k + 1), np.nan)
+        solved = np.zeros(len(pairs), dtype=bool)
+        if k == l:
+            # sign 0 is getrf's exact zero pivot, the test on which
+            # np.linalg.solve raises for a singular system
+            solved = np.linalg.slogdet(lhs)[0] != 0
+            rhs = np.zeros((int(solved.sum()), k + 1, 1))
+            rhs[:, k] = 1.0
+            sol[solved] = np.linalg.solve(lhs[solved], rhs)[..., 0]
+        yield rows, lhs, sol, solved
+
+
+def _screen(
+    a: np.ndarray, row_sets: np.ndarray, col_sets: np.ndarray, tol: float, res_tol: float
+) -> np.ndarray:
+    """False for the pairs on which :func:`_mixing_weights` surely returns None.
+
+    Square nonsingular systems are ruled out by the exact path's own test
+    (a weight below ``-tol``) on the bit-identical solution; least-squares
+    systems by a residual, from a stacked pseudo-inverse with ``lstsq``'s
+    cutoff, above a thousand times ``res_tol``.  Every other pair is kept
+    for the exact path to decide.
+    """
+    k = row_sets.shape[1]
+    masks = []
+    for _, lhs, sol, solved in _stacked_indifference(a, row_sets, col_sets):
+        keep = ~np.any(sol[:, :k] < -tol, axis=1)
+        ls = np.flatnonzero(~solved)
+        if ls.size:
+            systems = lhs[ls]
+            rcond = np.finfo(float).eps * max(systems.shape[1:])
+            x = np.linalg.pinv(systems, rcond=rcond)[..., -1]
+            resid = np.einsum("bij,bj->bi", systems, x)
+            resid[:, -1] -= 1.0
+            keep[ls] = ~(np.abs(resid).max(axis=1) > 1e3 * res_tol)
+        masks.append(keep)
+    return np.concatenate(masks)
+
+
 def support_enumeration(m: PayoffMatrices, tol: float = DEFAULT_TOL) -> list[EquilibriumResult]:
     """Enumerate equilibria over every pair of supports.
 
@@ -176,6 +244,10 @@ def support_enumeration(m: PayoffMatrices, tol: float = DEFAULT_TOL) -> list[Equ
     solutions in degenerate games and are handled by least squares with a
     residual check.  Off-support payoff ties within ``tol`` also raise
     the degenerate flag.
+
+    Each (|I|, |J|) size class is first screened on both sides in stacked
+    LAPACK batches (:func:`_screen`), which drops only pairs the exact
+    per-pair path would reject; every other pair goes through that path.
     """
     n, mm = m.n_rows, m.n_cols
     _guard_size(n, mm)
@@ -183,69 +255,83 @@ def support_enumeration(m: PayoffMatrices, tol: float = DEFAULT_TOL) -> list[Equ
     res_tol = max(tol, 1e-11 * scale)
 
     results: list[EquilibriumResult] = []
-    for rows in _nonempty_subsets(n):
-        for cols in _nonempty_subsets(mm):
-            got_s = _mixing_weights(m.u_adv, rows, cols, tol, res_tol)
-            if got_s is None:
-                continue
-            got_r = _mixing_weights(m.u_def.T, cols, rows, tol, res_tol)
-            if got_r is None:
-                continue
-            s_full, deg_s = got_s
-            r_full, deg_r = got_r
-            degenerate = deg_s or deg_r
-
-            adv_payoffs = s_full @ m.u_adv
-            v_adv = adv_payoffs[list(cols)].max()
-            def_payoffs = m.u_def @ r_full
-            v_def = def_payoffs[list(rows)].max()
-
-            ok = True
-            for j in range(mm):
-                if j in cols:
-                    continue
-                if adv_payoffs[j] > v_adv + tol:
-                    ok = False
-                    break
-                if adv_payoffs[j] > v_adv - tol:
-                    degenerate = True  # off-support tie
-            if not ok:
-                continue
-            for i in range(n):
-                if i in rows:
-                    continue
-                if def_payoffs[i] > v_def + tol:
-                    ok = False
-                    break
-                if def_payoffs[i] > v_def - tol:
-                    degenerate = True
-            if not ok:
-                continue
-
-            s = Strategy(s_full)
-            r = Strategy(r_full)
-            cert = verify_equilibrium(m, s, r, tol)
-            if not cert.certified:
-                continue
-            results.append(
-                EquilibriumResult(
-                    s=s,
-                    r=r,
-                    row_support=rows,
-                    col_support=cols,
-                    max_deviation_gain=cert.max_gain,
-                    degenerate=degenerate,
+    col_classes = [_index_sets(mm, l) for l in range(1, mm + 1)]
+    for k in range(1, n + 1):
+        row_sets = _index_sets(n, k)
+        for col_sets in col_classes:
+            keep = _screen(m.u_adv, row_sets, col_sets, tol, res_tol)
+            if keep.any():
+                keep &= (
+                    _screen(m.u_def.T, col_sets, row_sets, tol, res_tol)
+                    .reshape(len(col_sets), len(row_sets))
+                    .T.ravel()
                 )
-            )
+            for p in np.flatnonzero(keep):
+                rows = tuple(row_sets[p // len(col_sets)].tolist())
+                cols = tuple(col_sets[p % len(col_sets)].tolist())
+                found = _support_pair(m, rows, cols, tol, res_tol)
+                if found is not None:
+                    results.append(found)
     results.sort(key=lambda e: (e.row_support, e.col_support))
     return results
 
 
-def _nonempty_subsets(size: int) -> list[tuple[int, ...]]:
-    subsets = []
-    for k in range(1, size + 1):
-        subsets.extend(itertools.combinations(range(size), k))
-    return subsets
+def _support_pair(
+    m: PayoffMatrices,
+    rows: tuple[int, ...],
+    cols: tuple[int, ...],
+    tol: float,
+    res_tol: float,
+) -> EquilibriumResult | None:
+    """The verified equilibrium with supports exactly (rows, cols), if any."""
+    got_s = _mixing_weights(m.u_adv, rows, cols, tol, res_tol)
+    if got_s is None:
+        return None
+    got_r = _mixing_weights(m.u_def.T, cols, rows, tol, res_tol)
+    if got_r is None:
+        return None
+    s_full, deg_s = got_s
+    r_full, deg_r = got_r
+    degenerate = deg_s or deg_r
+
+    adv_payoffs = s_full @ m.u_adv
+    v_adv = adv_payoffs[list(cols)].max()
+    def_payoffs = m.u_def @ r_full
+    v_def = def_payoffs[list(rows)].max()
+
+    for j in range(m.n_cols):
+        if j in cols:
+            continue
+        if adv_payoffs[j] > v_adv + tol:
+            return None
+        if adv_payoffs[j] > v_adv - tol:
+            degenerate = True  # off-support tie
+    for i in range(m.n_rows):
+        if i in rows:
+            continue
+        if def_payoffs[i] > v_def + tol:
+            return None
+        if def_payoffs[i] > v_def - tol:
+            degenerate = True
+
+    s = Strategy(s_full)
+    r = Strategy(r_full)
+    cert = verify_equilibrium(m, s, r, tol)
+    if not cert.certified:
+        return None
+    return EquilibriumResult(
+        s=s,
+        r=r,
+        row_support=rows,
+        col_support=cols,
+        max_deviation_gain=cert.max_gain,
+        degenerate=degenerate,
+    )
+
+
+def _index_sets(size: int, k: int) -> np.ndarray:
+    """Every k-subset of ``range(size)``, one per row, in ``itertools`` order."""
+    return np.array(list(itertools.combinations(range(size), k)), dtype=np.intp).reshape(-1, k)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +379,8 @@ def _max_min_gap(g: np.ndarray) -> tuple[float, np.ndarray | None]:
     solution equalises the value across some column set of the same size
     as its support, so enumerating those square systems (plus the pure
     mixtures) and evaluating the true objective at each candidate reaches
-    the optimum.
+    the optimum.  The first candidate, in enumeration order, that attains
+    the largest value wins.
     """
     k, l = g.shape
     best_v = -np.inf
@@ -304,29 +391,27 @@ def _max_min_gap(g: np.ndarray) -> tuple[float, np.ndarray | None]:
             sigma = np.zeros(k)
             sigma[idx] = 1.0
             best_v, best_sigma = v, sigma
+    # A stacked score differs from the candidate's own ``(sigma @ g).min()``
+    # by summation order alone, far below ``slack``; every candidate within
+    # ``slack`` of a chunk's best is scored again on its own, in order, so
+    # the winner and its value are those of a one-at-a-time search.
+    slack = 1e-9 * max(1.0, float(np.abs(g).max())) if np.isfinite(g).all() else np.inf
     for size in range(2, k + 1):
-        for support in itertools.combinations(range(k), size):
-            sub = g[list(support), :]
-            for cols in itertools.combinations(range(l), size):
-                lhs = np.zeros((size + 1, size + 1))
-                lhs[:size, :size] = sub[:, list(cols)].T
-                lhs[:size, size] = -1.0
-                lhs[size, :size] = 1.0
-                rhs = np.zeros(size + 1)
-                rhs[size] = 1.0
-                try:
-                    sol = np.linalg.solve(lhs, rhs)
-                except np.linalg.LinAlgError:
-                    continue
-                w = sol[:size]
-                if np.any(w < -1e-12):
-                    continue
-                w = np.clip(w, 0.0, None)
-                total = w.sum()
-                if total <= 0.0:
-                    continue
+        for supports, _, sol, solved in _stacked_indifference(
+            g, _index_sets(k, size), _index_sets(l, size)
+        ):
+            w = np.clip(sol[:, :size], 0.0, None)
+            total = w.sum(axis=1)
+            live = np.flatnonzero(
+                solved & ~np.any(sol[:, :size] < -1e-12, axis=1) & ~(total <= 0.0)
+            )
+            sigmas = np.zeros((len(live), k))
+            np.put_along_axis(sigmas, supports[live], w[live] / total[live, None], axis=1)
+            score = (sigmas @ g).min(axis=1)
+            top = np.max(score, initial=best_v, where=~np.isnan(score))
+            for i in live[~(score < top - slack)]:
                 sigma = np.zeros(k)
-                sigma[list(support)] = w / total
+                sigma[supports[i]] = w[i] / w[i].sum()
                 v = float((sigma @ g).min())
                 if v > best_v:
                     best_v, best_sigma = v, sigma

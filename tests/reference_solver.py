@@ -1,0 +1,166 @@
+"""One-system-at-a-time enumeration, kept as the reference for the batched solver.
+
+A plain copy of the per-pair support enumeration loop and of the max-min
+vertex search as they were before ``clfgame.solver`` stacked its
+indifference systems into batched LAPACK calls: every system is built
+and solved on its own.  ``tests/test_solver_batched.py`` requires the
+batched code to return bit-identical results.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+
+from clfgame.core import Strategy
+from clfgame.payoff import PayoffMatrices
+from clfgame.solver import DEFAULT_TOL, EquilibriumResult, verify_equilibrium
+
+
+def mixing_weights(a, rows, cols, tol, res_tol):
+    k, l = len(rows), len(cols)
+    sub = a[np.ix_(rows, cols)]
+    lhs = np.zeros((l + 1, k + 1))
+    lhs[:l, :k] = sub.T
+    lhs[:l, k] = -1.0
+    lhs[l, :k] = 1.0
+    rhs = np.zeros(l + 1)
+    rhs[l] = 1.0
+
+    degenerate = False
+    if l == k:
+        try:
+            sol = np.linalg.solve(lhs, rhs)
+        except np.linalg.LinAlgError:
+            degenerate = True
+            sol = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
+    else:
+        degenerate = True
+        sol = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
+    if degenerate and np.max(np.abs(lhs @ sol - rhs)) > res_tol:
+        return None
+
+    x = sol[:k]
+    if np.any(x < -tol):
+        return None
+    x = np.clip(x, 0.0, None)
+    total = x.sum()
+    if total <= 0.0:
+        return None
+    x = x / total
+    if np.any(x <= tol):
+        return None
+    x_full = np.zeros(a.shape[0])
+    x_full[list(rows)] = x
+    return x_full, degenerate
+
+
+def nonempty_subsets(size):
+    subsets = []
+    for k in range(1, size + 1):
+        subsets.extend(itertools.combinations(range(size), k))
+    return subsets
+
+
+def support_enumeration(m: PayoffMatrices, tol: float = DEFAULT_TOL) -> list[EquilibriumResult]:
+    n, mm = m.n_rows, m.n_cols
+    scale = max(1.0, float(np.abs(m.u_adv).max()), float(np.abs(m.u_def).max()))
+    res_tol = max(tol, 1e-11 * scale)
+
+    results = []
+    for rows in nonempty_subsets(n):
+        for cols in nonempty_subsets(mm):
+            got_s = mixing_weights(m.u_adv, rows, cols, tol, res_tol)
+            if got_s is None:
+                continue
+            got_r = mixing_weights(m.u_def.T, cols, rows, tol, res_tol)
+            if got_r is None:
+                continue
+            s_full, deg_s = got_s
+            r_full, deg_r = got_r
+            degenerate = deg_s or deg_r
+
+            adv_payoffs = s_full @ m.u_adv
+            v_adv = adv_payoffs[list(cols)].max()
+            def_payoffs = m.u_def @ r_full
+            v_def = def_payoffs[list(rows)].max()
+
+            ok = True
+            for j in range(mm):
+                if j in cols:
+                    continue
+                if adv_payoffs[j] > v_adv + tol:
+                    ok = False
+                    break
+                if adv_payoffs[j] > v_adv - tol:
+                    degenerate = True
+            if not ok:
+                continue
+            for i in range(n):
+                if i in rows:
+                    continue
+                if def_payoffs[i] > v_def + tol:
+                    ok = False
+                    break
+                if def_payoffs[i] > v_def - tol:
+                    degenerate = True
+            if not ok:
+                continue
+
+            s = Strategy(s_full)
+            r = Strategy(r_full)
+            cert = verify_equilibrium(m, s, r, tol)
+            if not cert.certified:
+                continue
+            results.append(
+                EquilibriumResult(
+                    s=s,
+                    r=r,
+                    row_support=rows,
+                    col_support=cols,
+                    max_deviation_gain=cert.max_gain,
+                    degenerate=degenerate,
+                )
+            )
+    results.sort(key=lambda e: (e.row_support, e.col_support))
+    return results
+
+
+def max_min_gap(g):
+    k, l = g.shape
+    best_v = -np.inf
+    best_sigma = None
+    for idx in range(k):
+        v = float(g[idx].min())
+        if v > best_v:
+            sigma = np.zeros(k)
+            sigma[idx] = 1.0
+            best_v, best_sigma = v, sigma
+    for size in range(2, k + 1):
+        for support in itertools.combinations(range(k), size):
+            sub = g[list(support), :]
+            for cols in itertools.combinations(range(l), size):
+                lhs = np.zeros((size + 1, size + 1))
+                lhs[:size, :size] = sub[:, list(cols)].T
+                lhs[:size, size] = -1.0
+                lhs[size, :size] = 1.0
+                rhs = np.zeros(size + 1)
+                rhs[size] = 1.0
+                try:
+                    sol = np.linalg.solve(lhs, rhs)
+                except np.linalg.LinAlgError:
+                    continue
+                w = sol[:size]
+                if np.any(w < -1e-12):
+                    continue
+                w = np.clip(w, 0.0, None)
+                total = w.sum()
+                if total <= 0.0:
+                    continue
+                sigma = np.zeros(k)
+                sigma[list(support)] = w / total
+                v = float((sigma @ g).min())
+                if v > best_v:
+                    best_v, best_sigma = v, sigma
+    return best_v, best_sigma

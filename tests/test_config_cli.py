@@ -526,3 +526,57 @@ def test_make_spec_matches_bundled_madry():
     assert [m.acc for m in bundled.models] == [m.acc for m in local.models]
     assert (bundled.robustness == local.robustness).all()
     assert bundled.economics.r_max == local.economics.r_max
+
+
+def _config_3x3() -> dict:
+    return {
+        "models": [{"name": f"m{i}", "acc": 0.9 - 0.05 * i, "ongoing_cost": 0.01} for i in range(3)],
+        "attacks": [{"name": "pgd", "ongoing_cost": 0.1}, {"name": "fgsm", "ongoing_cost": 0.05}],
+        "robustness": [[0.1, 0.3], [0.4, 0.5], [0.6, 0.2]],
+        "economics": dict(GOOD_CONFIG["economics"], R_minus_adv=0.3, r_max=0.5),
+    }
+
+
+def _set_field(config: dict, field: str, value: float) -> None:
+    if field == "robustness":
+        config["robustness"][1][0] = value
+    elif field == "model_cost":
+        config["models"][1]["ongoing_cost"] = value
+    elif field == "attack_cost":
+        config["attacks"][0]["ongoing_cost"] = value
+    else:
+        config["economics"][field] = value
+
+
+NON_FINITE_FIELDS = (
+    "robustness",
+    "model_cost",
+    "attack_cost",
+    "R_plus_def",
+    "R_minus_def",
+    "R_plus_adv",
+    "R_minus_adv",
+    "I_def",
+    "I_adv",
+)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("field", NON_FINITE_FIELDS)
+def test_non_finite_config_is_rejected_before_solving(tmp_path, capfd, field, value):
+    config = _config_3x3()
+    _set_field(config, field, value)
+    path = write_config(tmp_path, config)  # json.dumps writes NaN / Infinity tokens
+
+    assert cli.main(["validate", "--spec", path]) == 1
+    report = json.loads(capfd.readouterr().out)
+    assert report["ok"] is False
+    assert any("must be finite" in v for v in report["violations"])
+
+    for command in ("solve", "dominance"):
+        code = cli.main([command, "--spec", path])
+        # capfd reads file descriptor 1, where LAPACK would print its own errors
+        out, err = capfd.readouterr()
+        assert code == 1
+        assert out == ""
+        assert "must be finite" in err

@@ -210,3 +210,42 @@ class TestStrategy:
         s = Strategy((0.5, 0.5))
         with pytest.raises(ValueError):
             s.probs[0] = 0.2
+
+
+NON_FINITE = (float("nan"), float("inf"), float("-inf"))
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize(
+    "field, violation",
+    [
+        ("robustness", "robustness must be finite"),
+        ("model_cost", "model 'm1': ongoing_cost must be finite"),
+        ("attack_cost", "attack 'atk0': ongoing_cost must be finite"),
+        ("r_plus_def", "economics: r_plus_def must be finite"),
+        ("r_minus_def", "economics: r_minus_def must be finite"),
+        ("r_plus_adv", "economics: r_plus_adv must be finite"),
+        ("r_minus_adv", "economics: r_minus_adv must be finite"),
+        ("i_def", "economics: i_def must be finite"),
+        ("i_adv", "economics: i_adv must be finite"),
+    ],
+)
+def test_non_finite_values_are_violations(field, violation, value):
+    kwargs = {}
+    rob = [[0.1], [0.2]]
+    if field == "robustness":
+        rob = [[0.1], [value]]
+    elif field == "model_cost":
+        kwargs["model_costs"] = [0.0, value]
+    elif field == "attack_cost":
+        kwargs["attack_costs"] = [value]
+    else:
+        kwargs[field] = value
+    report = validate_spec(make_spec([0.9, 0.8], rob, **kwargs))
+    assert not report.ok
+    assert violation in report.violations
+
+
+def test_integer_beyond_float_range_is_not_finite():
+    report = validate_spec(make_spec([0.9], [[0.1]], i_adv=10**400))
+    assert "economics: i_adv must be finite" in report.violations

@@ -1,0 +1,136 @@
+"""The batched solver against the one-system-at-a-time reference.
+
+Support enumeration and the dominance max-min search stack their
+indifference systems into batched LAPACK calls.  Their results must be
+bit-identical to those of ``reference_solver``, which builds and solves
+every system on its own.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+import reference_solver as ref
+from clfgame import solver
+from clfgame.payoff import PayoffMatrices, payoff_matrices
+from clfgame.solver import (
+    SolverGuardError,
+    dominance_report,
+    iterated_elimination,
+    support_enumeration,
+)
+
+from conftest import general_spec
+
+FAMILIES = ("generic", "tied_columns", "integer", "constant_u_adv", "zero_budget")
+# 1..6 actions per side; the reference's cost doubles with each action, so
+# the largest sides meet small opponents, plus one full 6 x 6 game
+SHAPES = [(n, m) for n in range(1, 7) for m in range(1, 7) if n + m <= 8] + [(6, 6)]
+
+
+def random_game(rng, family: str, n: int, m: int) -> PayoffMatrices | None:
+    """An n x m game of one family, or None where the family has no such game."""
+    if family == "zero_budget":
+        if m < 2:
+            return None  # a spec needs a real attack besides no-attack
+        spec = general_spec(rng, n_models=n, n_attacks=m)
+        spec = dataclasses.replace(spec, economics=dataclasses.replace(spec.economics, r_max=0.0))
+        return payoff_matrices(spec)
+    u_adv = rng.standard_normal((n, m))
+    u_def = rng.standard_normal((n, m))
+    if family == "tied_columns":
+        if m < 2:
+            return None
+        u_adv[:, 1] = u_adv[:, 0]
+        u_def[:, 1] = u_def[:, 0]
+    elif family == "integer":
+        u_adv = np.round(2.0 * u_adv)
+        u_def = np.round(2.0 * u_def)
+    elif family == "constant_u_adv":
+        u_adv = np.full((n, m), 0.3)
+    return PayoffMatrices(u_adv=u_adv, u_def=u_def)
+
+
+def assert_same_equilibria(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.row_support == w.row_support and g.col_support == w.col_support
+        assert all(type(i) is int for i in g.row_support + g.col_support)
+        assert g.s.probs.tobytes() == w.s.probs.tobytes()
+        assert g.r.probs.tobytes() == w.r.probs.tobytes()
+        assert g.max_deviation_gain == w.max_deviation_gain
+        assert g.degenerate == w.degenerate
+
+
+def assert_same_dominance(m: PayoffMatrices, monkeypatch):
+    for player in ("defender", "adversary"):
+        got = dominance_report(m, player)
+        with monkeypatch.context() as patched:
+            patched.setattr(solver, "_max_min_gap", ref.max_min_gap)
+            want = dominance_report(m, player)
+        assert len(got.actions) == len(want.actions)
+        for a, b in zip(got.actions, want.actions):
+            assert (a.action, a.status, a.dominated_by) == (b.action, b.status, b.dominated_by)
+            assert np.float64(a.margin).tobytes() == np.float64(b.margin).tobytes()
+            if b.mixture is None:
+                assert a.mixture is None
+            else:
+                assert a.mixture.tobytes() == b.mixture.tobytes()
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_support_enumeration_matches_reference(family):
+    rng = np.random.default_rng([20260816, FAMILIES.index(family)])
+    compared = 0
+    for n, m in SHAPES:
+        game = random_game(rng, family, n, m)
+        if game is None:
+            continue
+        assert_same_equilibria(support_enumeration(game), ref.support_enumeration(game))
+        compared += 1
+    assert compared >= 20
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_dominance_matches_reference(family, monkeypatch):
+    rng = np.random.default_rng([20260817, FAMILIES.index(family)])
+    for n, m in SHAPES:
+        game = random_game(rng, family, n, m)
+        if game is not None:
+            assert_same_dominance(game, monkeypatch)
+
+
+def test_max_min_gap_matches_reference_on_wide_matrices():
+    # the 7 x 8 gaps of an 8 x 8 game, beyond the sizes the game families reach
+    rng = np.random.default_rng(20260818)
+    for g in (rng.standard_normal((7, 8)), np.round(2.0 * rng.standard_normal((7, 8)))):
+        v, sigma = solver._max_min_gap(g)
+        want_v, want_sigma = ref.max_min_gap(g)
+        assert v == want_v
+        assert sigma.tobytes() == want_sigma.tobytes()
+
+
+def test_chunk_boundaries_match_reference(monkeypatch):
+    monkeypatch.setattr(solver, "_STACK_CHUNK", 7)
+    rng = np.random.default_rng(20260819)
+    for family, n, m in (("generic", 4, 5), ("integer", 5, 4), ("zero_budget", 4, 4)):
+        game = random_game(rng, family, n, m)
+        assert_same_equilibria(support_enumeration(game), ref.support_enumeration(game))
+        assert_same_dominance(game, monkeypatch)
+
+
+@pytest.mark.parametrize("shape", [(13, 2), (2, 13)])
+def test_guards_fire_before_any_stacked_system(shape, monkeypatch):
+    def no_stacking(*args):
+        raise AssertionError("stacked systems built for a game beyond the size guard")
+
+    monkeypatch.setattr(solver, "_stacked_indifference", no_stacking)
+    m = PayoffMatrices(u_adv=np.zeros(shape), u_def=np.zeros(shape))
+    for player in ("defender", "adversary"):
+        with pytest.raises(SolverGuardError):
+            dominance_report(m, player)
+    with pytest.raises(SolverGuardError):
+        iterated_elimination(m)
+    with pytest.raises(SolverGuardError):
+        support_enumeration(m)
