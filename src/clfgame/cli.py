@@ -16,7 +16,6 @@ import json
 import sys
 from dataclasses import dataclass
 
-import jsonschema
 import numpy as np
 
 from .analytic import (
@@ -31,7 +30,7 @@ from .analytic import (
     defender_preconditions,
     mixed_nash_2x2,
 )
-from .config import ConfigError, SpecValidationError, load_spec, spec_from_dict
+from .config import ConfigError, SpecValidationError, _validate, load_spec, spec_from_dict
 from .core import (
     DEFAULT_EPS,
     DimensionError,
@@ -333,7 +332,7 @@ REPORT_SCHEMAS: dict[str, dict] = {
 
 def validate_report(command: str, report: dict) -> None:
     """Assert a report matches its schema (internal sanity gate before emit)."""
-    jsonschema.validate(report, REPORT_SCHEMAS[command])
+    _validate(command, REPORT_SCHEMAS[command], report)
 
 
 # ---------------------------------------------------------------------------
@@ -691,7 +690,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         r_max=args.r_max if args.r_max is not None else spec.economics.r_max,
     )
     res = simulate(spec, s, r, cfg)
-    conv = convergence_check(spec, s, r, cfg)
+    conv = convergence_check(spec, s, r, cfg, sim=res)
     report = {
         "command": "simulate",
         "seed": cfg.seed,

@@ -13,6 +13,8 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 
 from .core import (
     AttackAction,
@@ -88,6 +90,30 @@ CONFIG_SCHEMA = {
 }
 
 
+# One validator per schema name, built on the schema's first use in the process.
+_VALIDATORS: dict[str, jsonschema.protocols.Validator] = {}
+
+
+def _validate(name: str, schema: dict, instance) -> None:
+    """``jsonschema.validate(instance, schema)``, checking the schema only once.
+
+    Checking a schema against its metaschema costs far more than validating
+    a small instance, and the schemas here are constants, so the check and
+    the validator's construction happen on the first call for ``name``
+    (raising ``SchemaError`` there for a broken schema).  Every call still
+    validates the whole instance and raises the error ``jsonschema.validate``
+    would pick.
+    """
+    validator = _VALIDATORS.get(name)
+    if validator is None:
+        cls = validator_for(schema)
+        cls.check_schema(schema)
+        validator = _VALIDATORS[name] = cls(schema)
+    error = best_match(validator.iter_errors(instance))
+    if error is not None:
+        raise error
+
+
 class ConfigError(ValueError):
     """A config file failed to parse or match the schema."""
 
@@ -103,7 +129,7 @@ class SpecValidationError(ValueError):
 def spec_from_dict(raw: dict) -> GameSpec:
     """Build a GameSpec from parsed config JSON (appends the no-attack action)."""
     try:
-        jsonschema.validate(raw, CONFIG_SCHEMA)
+        _validate("config", CONFIG_SCHEMA, raw)
     except jsonschema.ValidationError as err:
         where = "/".join(str(p) for p in err.absolute_path) or "<root>"
         raise ConfigError(f"config field {where}: {err.message}") from err

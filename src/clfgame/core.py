@@ -20,6 +20,7 @@ Two per-sample metrics drive everything downstream:
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -159,6 +160,8 @@ class Strategy:
         probs = np.asarray(self.probs, dtype=float)
         if probs.ndim != 1 or probs.size == 0:
             raise ValueError("strategy must be a non-empty 1-d probability vector")
+        if not np.all(np.isfinite(probs)):
+            raise ValueError("strategy entries must be finite")
         if np.any(probs < 0.0):
             raise ValueError("strategy entries must be nonnegative")
         total = float(probs.sum())
@@ -239,6 +242,11 @@ def validate_spec(spec: GameSpec) -> ValidationReport:
         if attack.no_attack and attack.ongoing_cost != 0.0:
             bad.append("NoAttack ongoing cost must be exactly 0")
 
+    for kind, names in (("model", spec.model_names()), ("attack", spec.attack_names())):
+        for name, count in Counter(names).items():
+            if count > 1:
+                bad.append(f"{kind} name {name!r} is not unique")
+
     rob = spec.robustness
     if rob.shape != (n, max(m - 1, 0)):
         bad.append(
@@ -266,7 +274,9 @@ def validate_spec(spec: GameSpec) -> ValidationReport:
         bad.append("economics: r_plus_adv + r_minus_adv must be positive")
     if e.r_plus_def + e.r_minus_def <= 0.0:
         bad.append("economics: r_plus_def + r_minus_def must be positive")
-    if int(e.n) != e.n or e.n < 1:
+    if not _is_finite(e.n):
+        bad.append("economics: n must be finite")
+    elif int(e.n) != e.n or e.n < 1:
         bad.append("economics: n must be an integer >= 1")
     if not 0.0 <= e.r_max <= 1.0:
         bad.append("economics: r_max out of [0,1]")

@@ -149,8 +149,18 @@ def simulate(spec: GameSpec, s: Strategy, r: Strategy, cfg: SimConfig) -> SimRes
     )
 
 
-def convergence_check(spec: GameSpec, s: Strategy, r: Strategy, cfg: SimConfig) -> ConvergenceReport:
+def convergence_check(
+    spec: GameSpec,
+    s: Strategy,
+    r: Strategy,
+    cfg: SimConfig,
+    *,
+    sim: SimResult | None = None,
+) -> ConvergenceReport:
     """Compare simulated mean utilities against the analytic ones at 3 standard errors.
+
+    ``sim`` is a result of ``simulate(spec, s, r, cfg)`` already at hand;
+    without it the simulation is run here.
 
     The analytic side is evaluated with the config's ``n`` and ``r_max``
     substituted into the economics, so both sides describe the same
@@ -160,7 +170,8 @@ def convergence_check(spec: GameSpec, s: Strategy, r: Strategy, cfg: SimConfig) 
     an ulp of rounding error that would otherwise fail an exact
     comparison.
     """
-    sim = simulate(spec, s, r, cfg)
+    if sim is None:
+        sim = simulate(spec, s, r, cfg)
     matched = replace(
         spec, economics=replace(spec.economics, n=cfg.n, r_max=cfg.r_max)
     )

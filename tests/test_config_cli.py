@@ -1,3 +1,4 @@
+import copy
 import csv
 import io
 import json
@@ -7,10 +8,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import pytest
+from jsonschema.validators import validator_for
 
-from clfgame import cli
+from clfgame import cli, config
 from clfgame.config import (
+    CONFIG_SCHEMA,
     ConfigError,
     SpecValidationError,
     bundled_config_path,
@@ -580,3 +584,204 @@ def test_non_finite_config_is_rejected_before_solving(tmp_path, capfd, field, va
         assert code == 1
         assert out == ""
         assert "must be finite" in err
+
+
+# ---------------------------------------------------------------------------
+# schema checks: each schema is checked against its metaschema once per process
+
+
+@pytest.fixture
+def fresh_validators(monkeypatch):
+    """An empty validator cache, as in a process that has checked no schema yet."""
+    monkeypatch.setattr(config, "_VALIDATORS", {})
+
+
+def _count_schema_checks(monkeypatch) -> list:
+    checked = []
+    cls = validator_for(CONFIG_SCHEMA)
+    original = cls.check_schema
+
+    def check_schema(schema, *args, **kwargs):
+        checked.append(schema)
+        return original(schema, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "check_schema", staticmethod(check_schema))
+    return checked
+
+
+@pytest.mark.parametrize("name", ["config", *cli.REPORT_SCHEMAS])
+def test_schemas_pass_check_schema(name):
+    schema = CONFIG_SCHEMA if name == "config" else cli.REPORT_SCHEMAS[name]
+    validator_for(schema).check_schema(schema)
+
+
+def test_each_schema_is_checked_once(fresh_validators, monkeypatch):
+    assert {validator_for(s) for s in [CONFIG_SCHEMA, *cli.REPORT_SCHEMAS.values()]} == {
+        validator_for(CONFIG_SCHEMA)
+    }
+    checked = _count_schema_checks(monkeypatch)
+    for _ in range(3):
+        spec_from_dict(GOOD_CONFIG)
+        for command in cli.REPORT_SCHEMAS:
+            with pytest.raises(jsonschema.ValidationError):
+                cli.validate_report(command, {})
+    assert len(checked) == 1 + len(cli.REPORT_SCHEMAS)
+    assert checked[0] is CONFIG_SCHEMA
+    assert checked[1:] == list(cli.REPORT_SCHEMAS.values())
+
+
+def test_repeated_commands_check_each_schema_once(fresh_validators, tmp_path, capsys, monkeypatch):
+    checked = _count_schema_checks(monkeypatch)
+    path = write_config(tmp_path, GOOD_CONFIG)
+    for _ in range(3):
+        assert run_cli(capsys, "validate", "--spec", path)[0] == 0
+        assert run_cli(capsys, "solve", "--spec", path)[0] == 0
+    assert checked == [CONFIG_SCHEMA, cli.REPORT_SCHEMAS["validate"], cli.REPORT_SCHEMAS["solve"]]
+
+
+def _malformed_configs() -> dict[str, dict]:
+    missing_key = copy.deepcopy(GOOD_CONFIG)
+    del missing_key["economics"]["r_max"]
+    wrong_type = copy.deepcopy(GOOD_CONFIG)
+    wrong_type["models"][1]["acc"] = "0.873"
+    extra_key = copy.deepcopy(GOOD_CONFIG)
+    extra_key["attacks"][0]["budget"] = 0.5
+    true_as_number = copy.deepcopy(GOOD_CONFIG)
+    true_as_number["economics"]["r_max"] = True
+    true_as_integer = copy.deepcopy(GOOD_CONFIG)
+    true_as_integer["economics"]["n"] = True
+    # the deeper fault is found first, but the shallower one is reported
+    two_faults = copy.deepcopy(wrong_type)
+    del two_faults["economics"]["r_max"]
+    return {
+        "missing key": missing_key,
+        "missing section": {k: v for k, v in GOOD_CONFIG.items() if k != "robustness"},
+        "wrong type": wrong_type,
+        "extra key": extra_key,
+        "true as number": true_as_number,
+        "true as integer": true_as_integer,
+        "not an array": dict(GOOD_CONFIG, models={"name": "standard", "acc": 0.9}),
+        "two faults": two_faults,
+    }
+
+
+@pytest.mark.parametrize("case", list(_malformed_configs()))
+def test_schema_errors_match_jsonschema_validate(fresh_validators, case):
+    raw = _malformed_configs()[case]
+    with pytest.raises(jsonschema.ValidationError) as reference:
+        jsonschema.validate(raw, CONFIG_SCHEMA)
+    where = "/".join(str(p) for p in reference.value.absolute_path) or "<root>"
+    expected = f"config field {where}: {reference.value.message}"
+    for _ in range(3):  # the first call builds the validator, later ones reuse it
+        with pytest.raises(ConfigError) as info:
+            spec_from_dict(raw)
+        assert str(info.value) == expected
+        assert info.value.__cause__.absolute_path == reference.value.absolute_path
+
+
+def test_broken_schema_raises_schema_error_on_first_use(fresh_validators, monkeypatch):
+    monkeypatch.setitem(cli.REPORT_SCHEMAS, "broken", {"type": "no_such_type"})
+    for _ in range(2):
+        with pytest.raises(jsonschema.SchemaError):
+            cli.validate_report("broken", {})
+
+
+# ---------------------------------------------------------------------------
+# simulate runs the trials once per command
+
+SIMULATE_ARGV = (
+    "--s-probs", "0.3,0.7", "--r-probs", "0.6,0.4", "--trials", "25", "--n", "400", "--seed", "8",
+)
+
+
+def test_simulate_command_runs_the_simulation_once(tmp_path, capsys, monkeypatch):
+    sim_module = sys.modules["clfgame.simulate"]
+    original = sim_module.simulate
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sim_module, "simulate", counting)
+    monkeypatch.setattr(cli, "simulate", counting)
+    path = write_config(tmp_path, GOOD_CONFIG)
+    code, out, _ = run_cli(capsys, "simulate", "--spec", path, *SIMULATE_ARGV)
+    assert code == 0
+    assert json.loads(out)["trials"] == 25
+    assert len(calls) == 1
+
+
+def test_simulate_report_equals_the_one_from_a_second_run(tmp_path, capsys, monkeypatch):
+    path = write_config(tmp_path, GOOD_CONFIG)
+    code, reused, _ = run_cli(capsys, "simulate", "--spec", path, *SIMULATE_ARGV)
+    assert code == 0
+    original = cli.convergence_check
+    monkeypatch.setattr(
+        cli, "convergence_check", lambda spec, s, r, cfg, sim=None: original(spec, s, r, cfg)
+    )
+    code, rerun, _ = run_cli(capsys, "simulate", "--spec", path, *SIMULATE_ARGV)
+    assert code == 0
+    assert reused == rerun
+
+
+# ---------------------------------------------------------------------------
+# input the game cannot represent
+
+
+def test_n_beyond_float_range_is_rejected(tmp_path, capsys):
+    huge = copy.deepcopy(GOOD_CONFIG)
+    huge["economics"]["n"] = 10**400
+    path = write_config(tmp_path, huge)
+
+    code, out, _ = run_cli(capsys, "validate", "--spec", path)
+    assert code == 1
+    assert json.loads(out)["violations"] == ["economics: n must be finite"]
+
+    code, out, err = run_cli(capsys, "solve", "--spec", path)
+    assert code == 1
+    assert out == ""
+    assert "economics: n must be finite" in err
+
+
+@pytest.mark.parametrize(
+    "overrides, violation",
+    [
+        (
+            {"models": [{"name": "standard", "acc": 0.952}, {"name": "standard", "acc": 0.873}]},
+            "model name 'standard' is not unique",
+        ),
+        (
+            {"attacks": [{"name": "pgd"}, {"name": "pgd"}], "robustness": [[0.035, 0.035], [0.458, 0.458]]},
+            "attack name 'pgd' is not unique",
+        ),
+        ({"attacks": [{"name": "no_attack"}]}, "attack name 'no_attack' is not unique"),
+    ],
+)
+def test_duplicate_names_are_rejected(tmp_path, capsys, overrides, violation):
+    path = write_config(tmp_path, dict(GOOD_CONFIG, **overrides))
+
+    code, out, _ = run_cli(capsys, "validate", "--spec", path)
+    assert code == 1
+    assert json.loads(out)["violations"] == [violation]
+
+    code, out, err = run_cli(capsys, "solve", "--spec", path)
+    assert code == 1
+    assert out == ""
+    assert violation in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--s-probs", "nan,1", "--r-probs", "0.5,0.5"),
+        ("simulate", "--s-probs", "0.5,0.5", "--r-probs", "0.5,nan,0.5"),
+        ("cases", "--s-probs", "nan,1"),
+    ],
+)
+def test_non_finite_strategy_flags_are_rejected(tmp_path, capsys, argv):
+    path = write_config(tmp_path, GOOD_CONFIG)
+    code, out, err = run_cli(capsys, argv[0], "--spec", path, *argv[1:])
+    assert code == 1
+    assert out == ""
+    assert "strategy entries must be finite" in err

@@ -249,3 +249,41 @@ def test_non_finite_values_are_violations(field, violation, value):
 def test_integer_beyond_float_range_is_not_finite():
     report = validate_spec(make_spec([0.9], [[0.1]], i_adv=10**400))
     assert "economics: i_adv must be finite" in report.violations
+
+
+def test_n_beyond_float_range_is_a_violation():
+    report = validate_spec(make_spec([0.9], [[0.1]], n=10**400))
+    assert report.violations == ("economics: n must be finite",)
+
+
+def test_duplicate_model_names_are_violations():
+    spec = make_spec([0.9, 0.8, 0.7], [[0.1], [0.2], [0.3]], model_names=["a", "b", "a"])
+    assert validate_spec(spec).violations == ("model name 'a' is not unique",)
+
+
+def test_duplicate_attack_names_are_violations():
+    spec = make_spec([0.9], [[0.1, 0.2]])
+    pgd_twice = GameSpec(
+        models=spec.models,
+        attacks=(AttackAction("pgd"), AttackAction("pgd"), no_attack_action()),
+        robustness=spec.robustness,
+        economics=spec.economics,
+    )
+    assert validate_spec(pgd_twice).violations == ("attack name 'pgd' is not unique",)
+    named_like_no_attack = GameSpec(
+        models=spec.models,
+        attacks=(AttackAction("no_attack"), AttackAction("fgsm"), no_attack_action()),
+        robustness=spec.robustness,
+        economics=spec.economics,
+    )
+    assert validate_spec(named_like_no_attack).violations == (
+        "attack name 'no_attack' is not unique",
+    )
+
+
+@pytest.mark.parametrize(
+    "values", [(float("nan"), 1.0), (0.5, float("nan"), 0.5), (float("inf"), 1.0), (1.0, float("-inf"))]
+)
+def test_strategy_rejects_non_finite_entries(values):
+    with pytest.raises(ValueError, match="strategy entries must be finite"):
+        Strategy(np.array(values))

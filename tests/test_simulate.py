@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -136,3 +138,18 @@ class TestConvergence:
         sim = simulate(spec, s, r, cfg)
         off_target = utility_adv(tampered, s, r)
         assert abs(sim.mean_utility_adv - off_target) > 3.0 * sim.std_error_adv
+
+
+def test_convergence_check_reuses_a_given_simulation(monkeypatch):
+    spec = demo_mixed_spec()
+    s, r = Strategy((0.5, 0.5)), Strategy((4 / 9, 5 / 9))
+    cfg = SimConfig(seed=9, n=1000, trials=40, r_max=0.45)
+    rerun = convergence_check(spec, s, r, cfg)
+    sim = simulate(spec, s, r, cfg)
+
+    def no_second_run(*args, **kwargs):
+        raise AssertionError("convergence_check ran the simulation again")
+
+    monkeypatch.setattr(sys.modules["clfgame.simulate"], "simulate", no_second_run)
+    reused = convergence_check(spec, s, r, cfg, sim=sim)
+    assert repr(reused) == repr(rerun)
