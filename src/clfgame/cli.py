@@ -370,7 +370,7 @@ def _emit(report: dict, command: str, run: RunConfig, csv_table=None) -> None:
             )
         text = _csv_text(*csv_table)
     else:
-        text = json.dumps(report, indent=2) + "\n"
+        text = json.dumps(report, indent=2, allow_nan=False) + "\n"
     if run.out:
         with open(run.out, "w") as fh:
             fh.write(text)
@@ -726,11 +726,21 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _add_shared(sub: argparse.ArgumentParser, *, grid: bool = False, seed: bool = False) -> None:
     sub.add_argument("--spec", required=True, help="path to a game config JSON file")
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--out", default=None, help="write the report here instead of stdout")
-    sub.add_argument("--eps", type=float, default=DEFAULT_EPS)
+    sub.add_argument("--eps", type=_finite_float, default=DEFAULT_EPS)
     if grid:
         sub.add_argument("--grid", type=int, default=101)
     if seed:
@@ -764,9 +774,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared(p, grid=True)
     p.add_argument("--map", choices=("adv", "def"), required=True)
     p.add_argument("--attack", type=int, default=0)
-    p.add_argument("--mu-adv", type=float, default=None, dest="mu_adv")
-    p.add_argument("--delta-mu-def", type=float, default=None, dest="delta_mu_def")
-    p.add_argument("--r-max", type=float, default=None, dest="r_max")
+    p.add_argument("--mu-adv", type=_finite_float, default=None, dest="mu_adv")
+    p.add_argument("--delta-mu-def", type=_finite_float, default=None, dest="delta_mu_def")
+    p.add_argument("--r-max", type=_finite_float, default=None, dest="r_max")
     p.set_defaults(handler=cmd_region_map)
 
     p = subs.add_parser("dominance", help="strict dominance report for both players")
@@ -784,7 +794,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-probs", required=True)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--r-max", type=float, default=None, dest="r_max")
+    p.add_argument("--r-max", type=_finite_float, default=None, dest="r_max")
     p.set_defaults(handler=cmd_simulate)
 
     return parser

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import GameSpec, Strategy, _frozen_array
+from .core import GameSpec, Strategy, _frozen_array, _is_finite
 from .payoff import utility_adv, utility_def
 
 
@@ -39,6 +39,8 @@ class SimConfig:
     r_max: float
 
     def __post_init__(self) -> None:
+        if not _is_finite(self.n):
+            raise ValueError("n must be finite")
         if int(self.n) != self.n or self.n < 1:
             raise ValueError("n must be an integer >= 1")
         if int(self.trials) != self.trials or self.trials < 1:

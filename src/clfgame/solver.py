@@ -19,7 +19,14 @@ finite game theory on them:
 Enumeration costs grow combinatorially, so the enumerating entry points
 refuse games with more than ``MAX_ENUM_ACTIONS`` actions per side.  Both
 enumerations solve their small indifference systems in stacked LAPACK
-batches (:func:`_stacked_indifference`) rather than one call at a time.
+batches (:func:`_stacked_indifference`) rather than one call at a time,
+with one LU factorisation per square system: a second pass runs only
+over a chunk that holds a singular system.  Support enumeration screens
+the pairs in those batches (:func:`_screen`) before its exact per-pair
+path: overdetermined least-squares systems by a QR projection residual,
+the others by a pseudo-inverse residual, and the off-support conditions
+by two tests with margin ``tol + 1e-9 * scale``, one that needs no mixture
+and one on the mixtures of square systems.
 """
 
 from __future__ import annotations
@@ -173,63 +180,114 @@ def _mixing_weights(
     return x_full, degenerate
 
 
-def _stacked_indifference(a: np.ndarray, row_sets: np.ndarray, col_sets: np.ndarray):
+def _stacked_indifference(
+    a: np.ndarray,
+    row_sets: np.ndarray,
+    col_sets: np.ndarray,
+    pairs: tuple[np.ndarray, np.ndarray] | None = None,
+):
     """The systems :func:`_mixing_weights` builds, for many pairs at once.
 
-    Pair ``p`` joins ``row_sets[p // Q]`` with ``col_sets[p % Q]`` (``Q``
-    column sets), the order of a loop over row sets around a loop over
-    column sets.  Yields ``(rows, lhs, sol, solved)`` per chunk of at most
-    ``_STACK_CHUNK`` pairs: the chunk's row sets ``(B, k)``, its systems
+    Pair ``p`` joins ``row_sets[pairs[0][p]]`` with ``col_sets[pairs[1][p]]``;
+    by default every row set meets every column set, in the order of a
+    loop over row sets around a loop over column sets.  Yields
+    ``(rows, lhs, sol, solved)`` per chunk of at most ``_STACK_CHUNK``
+    pairs: the chunk's row sets ``(B, k)``, its systems
     ``(B, l+1, k+1)``, and for square systems that ``np.linalg.solve``
     accepts (``solved``) their solutions ``(B, k+1)``, bit-identical to
     solving each system on its own; other rows of ``sol`` are NaN.
+
+    A square chunk is factorised once: one stacked solve, and only when
+    some system in it is singular a second pass over the others.
     """
-    n_col_sets = len(col_sets)
     k, l = row_sets.shape[1], col_sets.shape[1]
-    n_pairs = len(row_sets) * n_col_sets
-    for lo in range(0, n_pairs, _STACK_CHUNK):
-        pairs = np.arange(lo, min(lo + _STACK_CHUNK, n_pairs))
-        rows = row_sets[pairs // n_col_sets]
-        cols = col_sets[pairs % n_col_sets]
-        lhs = np.zeros((len(pairs), l + 1, k + 1))
+    if pairs is None:
+        pairs = np.divmod(np.arange(len(row_sets) * len(col_sets)), len(col_sets))
+    row_idx, col_idx = pairs
+    for lo in range(0, len(row_idx), _STACK_CHUNK):
+        rows = row_sets[row_idx[lo : lo + _STACK_CHUNK]]
+        cols = col_sets[col_idx[lo : lo + _STACK_CHUNK]]
+        b = len(rows)
+        lhs = np.zeros((b, l + 1, k + 1))
         lhs[:, :l, :k] = a[rows[:, None, :], cols[:, :, None]]
         lhs[:, :l, k] = -1.0
         lhs[:, l, :k] = 1.0
-        sol = np.full((len(pairs), k + 1), np.nan)
-        solved = np.zeros(len(pairs), dtype=bool)
+        sol = np.full((b, k + 1), np.nan)
+        solved = np.zeros(b, dtype=bool)
         if k == l:
-            # sign 0 is getrf's exact zero pivot, the test on which
-            # np.linalg.solve raises for a singular system
-            solved = np.linalg.slogdet(lhs)[0] != 0
-            rhs = np.zeros((int(solved.sum()), k + 1, 1))
+            rhs = np.zeros((b, k + 1, 1))
             rhs[:, k] = 1.0
-            sol[solved] = np.linalg.solve(lhs[solved], rhs)[..., 0]
+            try:
+                sol = np.linalg.solve(lhs, rhs)[..., 0]
+                solved[:] = True
+            except np.linalg.LinAlgError:
+                # sign 0 is getrf's exact zero pivot, the test on which
+                # np.linalg.solve raises for a singular system
+                solved = np.linalg.slogdet(lhs)[0] != 0
+                sol[solved] = np.linalg.solve(lhs[solved], rhs[solved])[..., 0]
         yield rows, lhs, sol, solved
 
 
 def _screen(
-    a: np.ndarray, row_sets: np.ndarray, col_sets: np.ndarray, tol: float, res_tol: float
+    a: np.ndarray,
+    row_sets: np.ndarray,
+    col_sets: np.ndarray,
+    tol: float,
+    res_tol: float,
+    margin: float,
+    pairs: tuple[np.ndarray, np.ndarray],
 ) -> np.ndarray:
-    """False for the pairs on which :func:`_mixing_weights` surely returns None.
+    """False for the ``pairs`` on which :func:`_support_pair` surely returns None.
 
-    Square nonsingular systems are ruled out by the exact path's own test
-    (a weight below ``-tol``) on the bit-identical solution; least-squares
-    systems by a residual, from a stacked pseudo-inverse with ``lstsq``'s
-    cutoff, above a thousand times ``res_tol``.  Every other pair is kept
-    for the exact path to decide.
+    One side of the exact path: weights over a row set of ``a`` that
+    equalise the opponent's payoff ``x @ a`` across a column set, then no
+    column off that set more than ``tol`` above the set's best.  A pair is
+    dropped when
+
+    * a square nonsingular system has a weight below ``-tol``, the exact
+      path's own test on the bit-identical solution;
+    * a least-squares system's residual is above a thousand times
+      ``res_tol``: from one stacked reduced QR when it is overdetermined
+      (``e - Q Q^T e``; span(Q) contains the column space, so this is
+      never above ``lstsq``'s residual), otherwise from a stacked
+      pseudo-inverse with ``lstsq``'s cutoff;
+    * some column off the set beats the set's best column by more than
+      ``margin`` on every row of the row set, and so beats the set's value
+      under any mixture of those rows;
+    * a square nonsingular system's normalised mixture puts some column
+      off the set more than ``margin`` above the set's best.
+
+    ``margin`` is ``tol + 1e-9 * scale`` (``scale`` bounds the payoffs):
+    stacked payoffs differ from the exact path's ``x @ a`` by rounding of
+    a dozen products and a weight sum, orders of magnitude below the extra
+    ``1e-9 * scale``.  Every other pair is kept for the exact path to decide.
     """
-    k = row_sets.shape[1]
+    k, l = row_sets.shape[1], col_sets.shape[1]
     masks = []
-    for _, lhs, sol, solved in _stacked_indifference(a, row_sets, col_sets):
+    for rows, lhs, sol, solved in _stacked_indifference(a, row_sets, col_sets, pairs):
+        payoffs = a[rows]  # (B, k, columns of a)
+        on_set = lhs[:, :l, :k]  # (B, l, k): the set's columns, transposed
         keep = ~np.any(sol[:, :k] < -tol, axis=1)
-        ls = np.flatnonzero(~solved)
+        keep &= ~np.any((payoffs - on_set.max(axis=1)[..., None]).min(axis=1) > margin, axis=1)
+        ls = np.flatnonzero(keep & ~solved)
         if ls.size:
             systems = lhs[ls]
-            rcond = np.finfo(float).eps * max(systems.shape[1:])
-            x = np.linalg.pinv(systems, rcond=rcond)[..., -1]
-            resid = np.einsum("bij,bj->bi", systems, x)
+            if l > k:
+                q = np.linalg.qr(systems)[0]
+                resid = np.einsum("bij,bj->bi", q, q[:, -1])
+            else:
+                rcond = np.finfo(float).eps * max(systems.shape[1:])
+                x = np.linalg.pinv(systems, rcond=rcond)[..., -1]
+                resid = np.einsum("bij,bj->bi", systems, x)
             resid[:, -1] -= 1.0
             keep[ls] = ~(np.abs(resid).max(axis=1) > 1e3 * res_tol)
+        live = np.flatnonzero(keep & solved)
+        if live.size:
+            w = np.clip(sol[live, :k], 0.0, None)
+            x = w / w.sum(axis=1, keepdims=True)
+            value = np.einsum("bk,bkc->bc", x, payoffs[live])
+            top = np.einsum("blk,bk->bl", on_set[live], x).max(axis=1)
+            keep[live] = ~np.any(value > (top + margin)[:, None], axis=1)
         masks.append(keep)
     return np.concatenate(masks)
 
@@ -248,27 +306,33 @@ def support_enumeration(m: PayoffMatrices, tol: float = DEFAULT_TOL) -> list[Equ
     Each (|I|, |J|) size class is first screened on both sides in stacked
     LAPACK batches (:func:`_screen`), which drops only pairs the exact
     per-pair path would reject; every other pair goes through that path.
+    The side whose systems are overdetermined is screened first, and the
+    other side only over the pairs it keeps.
     """
     n, mm = m.n_rows, m.n_cols
     _guard_size(n, mm)
     scale = max(1.0, float(np.abs(m.u_adv).max()), float(np.abs(m.u_def).max()))
     res_tol = max(tol, 1e-11 * scale)
+    margin = tol + 1e-9 * scale
 
     results: list[EquilibriumResult] = []
     col_classes = [_index_sets(mm, l) for l in range(1, mm + 1)]
     for k in range(1, n + 1):
         row_sets = _index_sets(n, k)
         for col_sets in col_classes:
-            keep = _screen(m.u_adv, row_sets, col_sets, tol, res_tol)
-            if keep.any():
-                keep &= (
-                    _screen(m.u_def.T, col_sets, row_sets, tol, res_tol)
-                    .reshape(len(col_sets), len(row_sets))
-                    .T.ravel()
-                )
-            for p in np.flatnonzero(keep):
-                rows = tuple(row_sets[p // len(col_sets)].tolist())
-                cols = tuple(col_sets[p % len(col_sets)].tolist())
+            # pair p joins row set p // Q with column set p % Q; the
+            # overdetermined side is screened first and the other side
+            # builds systems for its survivors only
+            q = len(col_sets)
+            live = np.arange(len(row_sets) * q)
+            sides = [(m.u_adv, row_sets, col_sets, False), (m.u_def.T, col_sets, row_sets, True)]
+            for a, own, opp, swap in sides[::-1] if k > col_sets.shape[1] else sides:
+                if live.size:
+                    i, j = np.divmod(live, q)
+                    live = live[_screen(a, own, opp, tol, res_tol, margin, (j, i) if swap else (i, j))]
+            for p in live:
+                rows = tuple(row_sets[p // q].tolist())
+                cols = tuple(col_sets[p % q].tolist())
                 found = _support_pair(m, rows, cols, tol, res_tol)
                 if found is not None:
                     results.append(found)

@@ -785,3 +785,51 @@ def test_non_finite_strategy_flags_are_rejected(tmp_path, capsys, argv):
     assert code == 1
     assert out == ""
     assert "strategy entries must be finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "--eps", "nan"),
+        ("solve", "--eps", "inf"),
+        ("dominance", "--eps", "Infinity"),
+        ("ccr-curve", "--eps", "1e400"),
+        ("solve", "--eps", "abc"),
+        ("region-map", "--map", "adv", "--mu-adv", "nan"),
+        ("region-map", "--map", "def", "--delta-mu-def", "nan"),
+        ("region-map", "--map", "def", "--r-max", "inf"),
+        ("simulate", "--s-probs", "0,1", "--r-probs", "1,0", "--r-max", "nan"),
+    ],
+)
+def test_non_finite_float_flags_are_rejected(tmp_path, capsys, argv):
+    path = write_config(tmp_path, GOOD_CONFIG)
+    out_path = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, argv[0], "--spec", path, "--out", str(out_path), *argv[1:])
+    assert code == 1
+    assert out == ""
+    assert f"argument {argv[-2]}: must be a finite number, got {argv[-1]!r}" in err
+    assert not out_path.exists()
+
+
+def test_reports_with_non_finite_numbers_are_not_written(tmp_path, capsys, monkeypatch):
+    # with the flag check out of the way a NaN reaches the report, which
+    # strict JSON cannot hold
+    monkeypatch.setattr(cli, "_finite_float", float)
+    path = write_config(tmp_path, GOOD_CONFIG)
+    out_path = tmp_path / "report.json"
+    for extra in ((), ("--out", str(out_path))):
+        code, out, err = run_cli(capsys, "solve", "--spec", path, "--eps", "nan", *extra)
+        assert code == 1
+        assert out == ""
+        assert "not JSON compliant" in err
+    assert not out_path.exists()
+
+
+def test_simulate_rejects_n_beyond_float_range(tmp_path, capsys):
+    path = write_config(tmp_path, GOOD_CONFIG)
+    argv = ("--s-probs", "0,1", "--r-probs", "1,0", "--trials", "2", "--n", "1" + "0" * 400)
+    code, out, err = run_cli(capsys, "simulate", "--spec", path, *argv)
+    assert code == 1
+    assert out == ""
+    assert "n must be finite" in err
+    assert "Traceback" not in err

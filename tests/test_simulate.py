@@ -153,3 +153,9 @@ def test_convergence_check_reuses_a_given_simulation(monkeypatch):
     monkeypatch.setattr(sys.modules["clfgame.simulate"], "simulate", no_second_run)
     reused = convergence_check(spec, s, r, cfg, sim=sim)
     assert repr(reused) == repr(rerun)
+
+
+@pytest.mark.parametrize("n", [10**400, float("inf"), float("nan")])
+def test_sim_config_rejects_non_finite_n(n):
+    with pytest.raises(ValueError, match="n must be finite"):
+        SimConfig(seed=1, n=n, trials=10, r_max=0.5)

@@ -134,3 +134,46 @@ def test_guards_fire_before_any_stacked_system(shape, monkeypatch):
         iterated_elimination(m)
     with pytest.raises(SolverGuardError):
         support_enumeration(m)
+
+
+@pytest.mark.parametrize("family", ["generic", "zero_budget", "tied_columns"])
+def test_seven_by_seven_matches_reference(family, monkeypatch):
+    rng = np.random.default_rng([20260820, FAMILIES.index(family)])
+    game = random_game(rng, family, 7, 7)
+    assert_same_equilibria(support_enumeration(game), ref.support_enumeration(game))
+    assert_same_dominance(game, monkeypatch)
+
+
+def test_chunk_mixing_singular_and_nonsingular_systems_matches_reference(monkeypatch):
+    # tied columns make every square system holding both of them singular;
+    # a chunk of 5 systems then mixes singular and nonsingular ones, so the
+    # stacked solve raises and the chunk is solved again without them
+    signs = []
+    slogdet = np.linalg.slogdet
+
+    def recording_slogdet(a):
+        got = slogdet(a)
+        signs.append(got[0])
+        return got
+
+    monkeypatch.setattr(solver, "_STACK_CHUNK", 5)
+    monkeypatch.setattr(np.linalg, "slogdet", recording_slogdet)
+    game = random_game(np.random.default_rng(20260821), "tied_columns", 4, 4)
+    assert_same_equilibria(support_enumeration(game), ref.support_enumeration(game))
+    assert_same_dominance(game, monkeypatch)
+    assert any((s == 0).any() and (s != 0).any() for s in signs)
+
+
+def test_zero_budget_game_reaches_the_per_pair_path_once_per_equilibrium(monkeypatch):
+    calls = []
+    support_pair = solver._support_pair
+
+    def counted(*args):
+        calls.append(args[1:3])
+        return support_pair(*args)
+
+    monkeypatch.setattr(solver, "_support_pair", counted)
+    game = random_game(np.random.default_rng(20260822), "zero_budget", 6, 6)
+    found = support_enumeration(game)
+    assert len(found) > 1
+    assert sorted(calls) == [(e.row_support, e.col_support) for e in found]
