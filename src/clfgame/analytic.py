@@ -19,12 +19,16 @@ the interior the game has a unique fully mixed equilibrium with
     r_1* = (dacc - dmu_def) / ((dacc + drob) * r_max)
 
 Everything here is exact arithmetic on the inputs; no iteration.
+:func:`build_region_map` labels whole planes of such games at once.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import (
     DEFAULT_EPS,
@@ -32,6 +36,7 @@ from .core import (
     GameSpec,
     Strategy,
     asr_mixed,
+    check_attack_index,
     check_ordering_2x2,
 )
 from .payoff import delta_mu_def, mu_adv, payoff_matrices
@@ -216,8 +221,12 @@ def defend_threshold(spec: GameSpec) -> float:
     every adversary mix, i.e. hardening cannot pay off.
     """
     _require_ordered(spec)
-    da, dr = delta_acc(spec), delta_rob(spec)
-    return (da - delta_mu_def(spec)) / (da + dr)
+    return _defend_threshold(delta_acc(spec), delta_rob(spec), delta_mu_def(spec))
+
+
+def _defend_threshold(d_acc, d_rob, d_mu):
+    """The defend threshold (d_acc - d_mu) / (d_acc + d_rob), on floats or arrays."""
+    return (d_acc - d_mu) / (d_acc + d_rob)
 
 
 def mixed_nash_2x2(spec: GameSpec, eps: float = DEFAULT_EPS) -> MixedEquilibrium2x2 | None:
@@ -275,3 +284,101 @@ def ccr_intersection(spec: GameSpec, model_a: int, model_b: int, attack_index: i
     if 0.0 <= rho <= 1.0:
         return rho
     return None
+
+
+# Case labels of the region maps; cells hold indices into these tuples.
+ADV_CASE_LABELS = ("invalid", "Case 1", "Case 2", "Case 3 (and 1&2) possible")
+DEF_CASE_LABELS = ("invalid", "Case A", "Case B", "Case C (and A&B) possible")
+
+
+@dataclass(frozen=True, eq=False)
+class RegionMap:
+    """Rasterised case labels over a 2-d parameter plane, plus overlay points."""
+
+    map_kind: str  # "adv" | "def"
+    x_axis: str
+    y_axis: str
+    params: dict
+    xs: np.ndarray
+    ys: np.ndarray
+    cells: tuple[tuple[float, float, str], ...]
+    points: tuple[tuple[str, float, float, str], ...]
+
+
+def _adversary_codes(rob_2: np.ndarray, rob_1: np.ndarray, mu_adv: float) -> np.ndarray:
+    """Reachable adversary cases at (rob_2, rob_1) points, as ADV_CASE_LABELS indices."""
+    breakeven_asr = 1.0 - mu_adv
+    return np.select(
+        [
+            rob_1 >= rob_2,
+            (rob_1 <= breakeven_asr) & (breakeven_asr <= rob_2),
+            rob_2 < breakeven_asr,
+        ],
+        [0, 3, 2],
+        default=1,
+    )
+
+
+def _defender_codes(
+    d_rob: np.ndarray, d_acc: np.ndarray, delta_mu_def: float, r_max: float
+) -> np.ndarray:
+    """Reachable defender cases at (delta_rob, delta_acc) points, as DEF_CASE_LABELS indices."""
+    invalid = (d_acc <= 0.0) | (d_rob <= 0.0) | (d_acc + d_rob >= 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # only invalid points divide by 0
+        t = _defend_threshold(d_acc, d_rob, delta_mu_def)
+    return np.select([invalid, t < 0.0, t > r_max], [0, 1, 2], default=3)
+
+
+def build_region_map(
+    spec: GameSpec,
+    map_kind: str,
+    grid: int,
+    attack_index: int = 0,
+    mu: float | None = None,
+    d_mu: float | None = None,
+    r_max: float | None = None,
+) -> RegionMap:
+    """Rasterise case labels and place one overlay point per model pair (1, k).
+
+    Parameters default to the spec's own economics; passing them
+    explicitly lets one map be drawn for a whole family of games.
+    """
+    if grid < 2:
+        raise ValueError("grid must be at least 2")
+    check_attack_index(spec, attack_index)
+    rob = spec.robustness[:, attack_index]
+    xs = np.linspace(0.0, 1.0, grid)
+    if map_kind == "adv":
+        if mu is None:
+            mu = mu_adv(spec, attack_index)
+        ys = np.linspace(0.0, 1.0, grid)
+        point_xs, point_ys = rob[1:], np.full(spec.n_models - 1, rob[0])
+        axes, labels, codes = ("rob_2", "rob_1"), ADV_CASE_LABELS, _adversary_codes
+        params = {"mu_adv": mu}
+    elif map_kind == "def":
+        if d_mu is None:
+            try:
+                d_mu = delta_mu_def(spec)
+            except DimensionError:
+                d_mu = 0.0
+        if r_max is None:
+            r_max = spec.economics.r_max
+        if not 0.0 <= r_max <= 1.0:
+            raise ValueError("r_max out of [0,1]")
+        ys = np.linspace(-0.3, 1.0, grid)
+        point_xs, point_ys = rob[1:] - rob[0], spec.acc[0] - spec.acc[1:]
+        axes, labels, codes = ("delta_rob", "delta_acc"), DEF_CASE_LABELS, _defender_codes
+        params = {"delta_mu_def": d_mu, "r_max": r_max}
+    else:
+        raise ValueError(f"unknown map kind {map_kind!r}")
+
+    # cells run over x, then y; each grid value is one float object shared by its cells
+    cell_codes = codes(xs[:, None], ys[None, :], **params).ravel().tolist()
+    cells = tuple(
+        (x, y, labels[c])
+        for (x, y), c in zip(itertools.product(xs.tolist(), ys.tolist()), cell_codes)
+    )
+    names = [f"{spec.models[0].name}_vs_{spec.models[k].name}" for k in range(1, spec.n_models)]
+    point_labels = [labels[c] for c in codes(point_xs, point_ys, **params).tolist()]
+    points = tuple(zip(names, point_xs.tolist(), point_ys.tolist(), point_labels))
+    return RegionMap(map_kind, *axes, params, xs, ys, cells, points)

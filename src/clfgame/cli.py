@@ -14,7 +14,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +23,7 @@ from .analytic import (
     adversary_preconditions,
     best_response_adv,
     best_response_def,
+    build_region_map,
     ccr_intersection,
     defend_threshold,
     defender_case,
@@ -36,6 +36,8 @@ from .core import (
     DimensionError,
     GameSpec,
     Strategy,
+    ccr_table,
+    check_attack_index,
     check_ordering_2x2,
     validate_spec,
 )
@@ -53,147 +55,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_GUARD = 2
 EXIT_IO = 3
-
-ADV_CASE_LABELS = {
-    "invalid": "invalid",
-    "case1": "Case 1",
-    "case2": "Case 2",
-    "case3": "Case 3 (and 1&2) possible",
-}
-DEF_CASE_LABELS = {
-    "invalid": "invalid",
-    "caseA": "Case A",
-    "caseB": "Case B",
-    "caseC": "Case C (and A&B) possible",
-}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Shared command options, straight from the parsed arguments."""
-
-    spec_path: str
-    fmt: str = "json"
-    out: str | None = None
-    eps: float = DEFAULT_EPS
-    grid: int = 101
-    seed: int = 0
-
-
-@dataclass(frozen=True, eq=False)
-class RegionMap:
-    """Rasterised case labels over a 2-d parameter plane, plus overlay points."""
-
-    map_kind: str  # "adv" | "def"
-    x_axis: str
-    y_axis: str
-    params: dict
-    xs: np.ndarray
-    ys: np.ndarray
-    cells: tuple[tuple[float, float, str], ...]
-    points: tuple[tuple[str, float, float, str], ...]
-
-
-def adversary_region_label(rob_2: float, rob_1: float, mu: float) -> str:
-    """Reachable-case label at one (rob_2, rob_1) point of the adversary plane."""
-    if rob_1 >= rob_2:
-        return ADV_CASE_LABELS["invalid"]
-    breakeven_asr = 1.0 - mu
-    if rob_1 <= breakeven_asr <= rob_2:
-        return ADV_CASE_LABELS["case3"]
-    if rob_2 < breakeven_asr:
-        return ADV_CASE_LABELS["case2"]
-    return ADV_CASE_LABELS["case1"]
-
-
-def defender_region_label(d_rob: float, d_acc: float, d_mu: float, r_max: float) -> str:
-    """Reachable-case label at one (delta_rob, delta_acc) point of the defender plane."""
-    if d_acc <= 0.0 or d_rob <= 0.0 or d_acc + d_rob >= 1.0:
-        return DEF_CASE_LABELS["invalid"]
-    t = (d_acc - d_mu) / (d_acc + d_rob)
-    if t < 0.0:
-        return DEF_CASE_LABELS["caseA"]
-    if t > r_max:
-        return DEF_CASE_LABELS["caseB"]
-    return DEF_CASE_LABELS["caseC"]
-
-
-def build_region_map(
-    spec: GameSpec,
-    map_kind: str,
-    grid: int,
-    attack_index: int = 0,
-    mu: float | None = None,
-    d_mu: float | None = None,
-    r_max: float | None = None,
-) -> RegionMap:
-    """Rasterise case labels and place one overlay point per model pair (1, k).
-
-    Parameters default to the spec's own economics; passing them
-    explicitly lets one map be drawn for a whole family of games.
-    """
-    if grid < 2:
-        raise ValueError("grid must be at least 2")
-    rob = np.asarray(spec.robustness)
-    if map_kind == "adv":
-        if mu is None:
-            mu = mu_adv(spec, attack_index)
-        xs = np.linspace(0.0, 1.0, grid)
-        ys = np.linspace(0.0, 1.0, grid)
-        cells = tuple(
-            (float(x), float(y), adversary_region_label(float(x), float(y), mu))
-            for x in xs
-            for y in ys
-        )
-        points = []
-        for k in range(1, spec.n_models):
-            x = float(rob[k, attack_index])
-            y = float(rob[0, attack_index])
-            name = f"{spec.models[0].name}_vs_{spec.models[k].name}"
-            points.append((name, x, y, adversary_region_label(x, y, mu)))
-        return RegionMap(
-            map_kind="adv",
-            x_axis="rob_2",
-            y_axis="rob_1",
-            params={"mu_adv": mu},
-            xs=xs,
-            ys=ys,
-            cells=cells,
-            points=tuple(points),
-        )
-    if map_kind == "def":
-        if d_mu is None:
-            try:
-                d_mu = delta_mu_def(spec)
-            except DimensionError:
-                d_mu = 0.0
-        if r_max is None:
-            r_max = spec.economics.r_max
-        xs = np.linspace(0.0, 1.0, grid)
-        ys = np.linspace(-0.3, 1.0, grid)
-        cells = tuple(
-            (float(x), float(y), defender_region_label(float(x), float(y), d_mu, r_max))
-            for x in xs
-            for y in ys
-        )
-        points = []
-        for k in range(1, spec.n_models):
-            x = float(rob[k, attack_index] - rob[0, attack_index])
-            y = float(spec.models[0].acc - spec.models[k].acc)
-            name = f"{spec.models[0].name}_vs_{spec.models[k].name}"
-            points.append((name, x, y, defender_region_label(x, y, d_mu, r_max)))
-        return RegionMap(
-            map_kind="def",
-            x_axis="delta_rob",
-            y_axis="delta_acc",
-            params={"delta_mu_def": d_mu, "r_max": r_max},
-            xs=xs,
-            ys=ys,
-            cells=cells,
-            points=tuple(points),
-        )
-    raise ValueError(f"unknown map kind {map_kind!r}")
-
 
 # ---------------------------------------------------------------------------
 # report schemas
@@ -361,9 +222,9 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
-def _emit(report: dict, command: str, run: RunConfig, csv_table=None) -> None:
+def _emit(report: dict, command: str, args: argparse.Namespace, csv_table=None) -> None:
     validate_report(command, report)
-    if run.fmt == "csv":
+    if args.format == "csv":
         if csv_table is None:
             raise ConfigError(
                 "csv output is only available for the ccr-curve and region-map commands"
@@ -371,22 +232,11 @@ def _emit(report: dict, command: str, run: RunConfig, csv_table=None) -> None:
         text = _csv_text(*csv_table)
     else:
         text = json.dumps(report, indent=2, allow_nan=False) + "\n"
-    if run.out:
-        with open(run.out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _run_config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        spec_path=args.spec,
-        fmt=getattr(args, "format", "json"),
-        out=getattr(args, "out", None),
-        eps=getattr(args, "eps", DEFAULT_EPS),
-        grid=getattr(args, "grid", 101),
-        seed=getattr(args, "seed", 0),
-    )
 
 
 def _parse_probs(text: str) -> Strategy:
@@ -424,25 +274,23 @@ def _thresholds_json(spec: GameSpec) -> dict:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    run = _run_config(args)
-    with open(run.spec_path) as fh:
+    with open(args.spec) as fh:
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as err:
-            raise ConfigError(f"{run.spec_path}:{err.lineno}:{err.colno}: {err.msg}") from err
+            raise ConfigError(f"{args.spec}:{err.lineno}:{err.colno}: {err.msg}") from err
     spec = spec_from_dict(raw)
     report = validate_spec(spec)
     _emit(
         {"command": "validate", "ok": report.ok, "violations": list(report.violations)},
         "validate",
-        run,
+        args,
     )
     return EXIT_OK if report.ok else EXIT_VALIDATION
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    run = _run_config(args)
-    spec = load_spec(run.spec_path)
+    spec = load_spec(args.spec)
     m = payoff_matrices(spec)
     is_2x2 = spec.n_models == 2 and spec.n_attacks == 2
     ordered = check_ordering_2x2(spec) if is_2x2 else None
@@ -454,11 +302,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
             "model_name": spec.models[i].name,
             "attack_name": spec.attacks[j].name,
         }
-        for i, j in pure_equilibria(m, tol=run.eps)
+        for i, j in pure_equilibria(m, tol=args.eps)
     ]
     report: dict = {
         "command": "solve",
-        "eps": run.eps,
+        "eps": args.eps,
         "models": list(spec.model_names()),
         "attacks": list(spec.attack_names()),
         "ordering_2x2": ordered,
@@ -475,7 +323,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             "adversary_satisfiable": sorted(c.value for c in adversary_preconditions(spec)),
             "defender_satisfiable": sorted(c.value for c in defender_preconditions(spec)),
         }
-        eq = mixed_nash_2x2(spec, eps=run.eps)
+        eq = mixed_nash_2x2(spec, eps=args.eps)
         if eq is not None:
             report["mixed_equilibrium"] = {
                 "s": list(map(float, eq.s_star.probs)),
@@ -501,15 +349,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
                 "max_deviation_gain": eq.max_deviation_gain,
                 "degenerate": eq.degenerate,
             }
-            for eq in support_enumeration(m, tol=run.eps)
+            for eq in support_enumeration(m, tol=args.eps)
         ]
-    _emit(report, "solve", run)
+    _emit(report, "solve", args)
     return EXIT_OK
 
 
 def cmd_cases(args: argparse.Namespace) -> int:
-    run = _run_config(args)
-    spec = load_spec(run.spec_path)
+    spec = load_spec(args.spec)
     adversary: dict = {
         "satisfiable": sorted(c.value for c in adversary_preconditions(spec)),
         "case_at_s": None,
@@ -522,37 +369,31 @@ def cmd_cases(args: argparse.Namespace) -> int:
     }
     if args.s_probs:
         s = _parse_probs(args.s_probs)
-        adversary["case_at_s"] = adversary_case(spec, s, eps=run.eps).value
-        adversary["best_response_at_s"] = _br_json(best_response_adv(spec, s, eps=run.eps))
+        adversary["case_at_s"] = adversary_case(spec, s, eps=args.eps).value
+        adversary["best_response_at_s"] = _br_json(best_response_adv(spec, s, eps=args.eps))
     if args.r_probs:
         r = _parse_probs(args.r_probs)
-        defender["case_at_r"] = defender_case(spec, r, eps=run.eps).value
-        defender["best_response_at_r"] = _br_json(best_response_def(spec, r, eps=run.eps))
+        defender["case_at_r"] = defender_case(spec, r, eps=args.eps).value
+        defender["best_response_at_r"] = _br_json(best_response_def(spec, r, eps=args.eps))
     report = {
         "command": "cases",
-        "eps": run.eps,
+        "eps": args.eps,
         "thresholds": _thresholds_json(spec),
         "adversary": adversary,
         "defender": defender,
     }
-    _emit(report, "cases", run)
+    _emit(report, "cases", args)
     return EXIT_OK
 
 
 def cmd_ccr_curve(args: argparse.Namespace) -> int:
-    run = _run_config(args)
-    spec = load_spec(run.spec_path)
+    spec = load_spec(args.spec)
     attack = args.attack
-    if not spec.is_real_attack(attack):
-        raise ConfigError("ccr-curve needs a real attack index")
+    check_attack_index(spec, attack)
     r_max = spec.economics.r_max
-    rho = np.linspace(0.0, r_max, run.grid)
-    acc = np.array([mdl.acc for mdl in spec.models])
-    rob = np.asarray(spec.robustness[:, attack])
-    table = {
-        mdl.name: [float(v) for v in (1.0 - rho) * acc[i] + rho * rob[i]]
-        for i, mdl in enumerate(spec.models)
-    }
+    rho = np.linspace(0.0, r_max, args.grid)
+    curves = ccr_table(spec, rho)[:, :, attack].T
+    table = {mdl.name: curve.tolist() for mdl, curve in zip(spec.models, curves)}
     intersections = []
     for a in range(spec.n_models):
         for b in range(a + 1, spec.n_models):
@@ -570,7 +411,7 @@ def cmd_ccr_curve(args: argparse.Namespace) -> int:
         "attack": attack,
         "attack_name": spec.attacks[attack].name,
         "r_max": r_max,
-        "rho": [float(v) for v in rho],
+        "rho": rho.tolist(),
         "ccr": table,
         "intersections": intersections,
     }
@@ -579,17 +420,16 @@ def cmd_ccr_curve(args: argparse.Namespace) -> int:
         [report["rho"][k]] + [table[name][k] for name in names]
         for k in range(len(report["rho"]))
     ]
-    _emit(report, "ccr_curve", run, csv_table=(["rho"] + names, rows))
+    _emit(report, "ccr_curve", args, csv_table=(["rho"] + names, rows))
     return EXIT_OK
 
 
 def cmd_region_map(args: argparse.Namespace) -> int:
-    run = _run_config(args)
-    spec = load_spec(run.spec_path)
+    spec = load_spec(args.spec)
     rm = build_region_map(
         spec,
         map_kind=args.map,
-        grid=run.grid,
+        grid=args.grid,
         attack_index=args.attack,
         mu=args.mu_adv,
         d_mu=args.delta_mu_def,
@@ -601,7 +441,7 @@ def cmd_region_map(args: argparse.Namespace) -> int:
         "x_axis": rm.x_axis,
         "y_axis": rm.y_axis,
         "params": rm.params,
-        "grid": run.grid,
+        "grid": args.grid,
         "cells": [{"x": x, "y": y, "case_label": lbl} for x, y, lbl in rm.cells],
         "points": [
             {"name": name, "x": x, "y": y, "case_label": lbl}
@@ -609,17 +449,16 @@ def cmd_region_map(args: argparse.Namespace) -> int:
         ],
     }
     rows = [[x, y, lbl] for x, y, lbl in rm.cells]
-    _emit(report, "region_map", run, csv_table=(["x", "y", "case_label"], rows))
+    _emit(report, "region_map", args, csv_table=(["x", "y", "case_label"], rows))
     return EXIT_OK
 
 
 def cmd_dominance(args: argparse.Namespace) -> int:
-    run = _run_config(args)
-    spec = load_spec(run.spec_path)
+    spec = load_spec(args.spec)
     m = payoff_matrices(spec)
 
     def side(player: str, names: tuple[str, ...]) -> list[dict]:
-        rep = dominance_report(m, player, tol=run.eps)
+        rep = dominance_report(m, player, tol=args.eps)
         out = []
         for a in rep.actions:
             out.append(
@@ -639,18 +478,17 @@ def cmd_dominance(args: argparse.Namespace) -> int:
 
     report = {
         "command": "dominance",
-        "eps": run.eps,
+        "eps": args.eps,
         "defender": side("defender", spec.model_names()),
         "adversary": side("adversary", spec.attack_names()),
     }
-    _emit(report, "dominance", run)
+    _emit(report, "dominance", args)
     return EXIT_OK
 
 
 def cmd_envelope(args: argparse.Namespace) -> int:
-    run = _run_config(args)
-    spec = load_spec(run.spec_path)
-    env = upper_envelope_ccr(spec, args.attack, tol=run.eps)
+    spec = load_spec(args.spec)
+    env = upper_envelope_ccr(spec, args.attack, tol=args.eps)
     report = {
         "command": "envelope",
         "attack": env.attack_index,
@@ -674,17 +512,16 @@ def cmd_envelope(args: argparse.Namespace) -> int:
             for bp in env.breakpoints
         ],
     }
-    _emit(report, "envelope", run)
+    _emit(report, "envelope", args)
     return EXIT_OK
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    run = _run_config(args)
-    spec = load_spec(run.spec_path)
+    spec = load_spec(args.spec)
     s = _parse_probs(args.s_probs)
     r = _parse_probs(args.r_probs)
     cfg = SimConfig(
-        seed=run.seed,
+        seed=args.seed,
         n=args.n if args.n is not None else spec.economics.n,
         trials=args.trials,
         r_max=args.r_max if args.r_max is not None else spec.economics.r_max,
@@ -712,7 +549,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "model_played": [int(v) for v in res.models_played],
         },
     }
-    _emit(report, "simulate", run)
+    _emit(report, "simulate", args)
     return EXIT_OK
 
 

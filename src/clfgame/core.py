@@ -131,6 +131,15 @@ class GameSpec:
     def acc(self) -> np.ndarray:
         return _frozen_array([m.acc for m in self.models])
 
+    @property
+    def model_costs(self) -> np.ndarray:
+        return _frozen_array([m.ongoing_cost for m in self.models])
+
+    @property
+    def attack_costs(self) -> np.ndarray:
+        """Ongoing cost of every adversary action, no-attack (0) last."""
+        return _frozen_array([a.ongoing_cost for a in self.attacks])
+
     def real_attack_indices(self) -> range:
         return range(len(self.attacks) - 1)
 
@@ -294,6 +303,15 @@ def _require_real_attack(spec: GameSpec, attack_index: int) -> None:
         raise ValueError("ASR undefined for NoAttack")
 
 
+def check_attack_index(spec: GameSpec, attack_index: int) -> None:
+    """Reject any index but a real attack's, 0..M-2, with a ValueError."""
+    if attack_index not in spec.real_attack_indices():
+        raise ValueError(
+            f"attack index {attack_index} out of range: "
+            f"the real attacks are 0..{spec.n_attacks - 2}"
+        )
+
+
 def check_ordering_2x2(spec: GameSpec) -> bool:
     """Whether acc_1 > acc_2 > rob_2 > rob_1 holds (strictly).
 
@@ -315,6 +333,20 @@ def asr(spec: GameSpec, model_index: int, attack_index: int) -> float:
     return 1.0 - float(spec.robustness[model_index, attack_index])
 
 
+def ccr_table(spec: GameSpec, rho) -> np.ndarray:
+    """CCR of every model against every action, at perturbed fraction ``rho``.
+
+    The table is N x M with the no-attack column equal to ``acc``; an
+    array ``rho`` adds its shape as leading axes.  ``rho`` is not checked
+    against ``r_max``.
+    """
+    rho = np.asarray(rho, dtype=float)[..., None, None]
+    table = np.empty(rho.shape[:-2] + (spec.n_models, spec.n_attacks))
+    table[..., :-1] = (1.0 - rho) * spec.acc[:, None] + rho * spec.robustness
+    table[..., -1] = spec.acc
+    return table
+
+
 def ccr(spec: GameSpec, model_index: int, attack_index: int, rho: float) -> float:
     """Correct classification rate when a fraction rho of samples is perturbed.
 
@@ -325,10 +357,8 @@ def ccr(spec: GameSpec, model_index: int, attack_index: int, rho: float) -> floa
     r_max = spec.economics.r_max
     if not 0.0 <= rho <= r_max:
         raise ValueError(f"rho={rho!r} outside [0, r_max={r_max!r}]")
-    acc_i = spec.models[model_index].acc
-    if not spec.is_real_attack(attack_index):
-        return acc_i
-    return (1.0 - rho) * acc_i + rho * float(spec.robustness[model_index, attack_index])
+    spec.is_real_attack(attack_index)  # raises IndexError when out of range
+    return float(ccr_table(spec, rho)[model_index, attack_index])
 
 
 def asr_mixed(spec: GameSpec, s: Strategy, attack_index: int) -> float:
@@ -344,9 +374,4 @@ def ccr_mixed(spec: GameSpec, model_index: int, r: Strategy) -> float:
     _check_model_index(spec, model_index)
     if len(r) != spec.n_attacks:
         raise DimensionError(f"adversary strategy length {len(r)} != {spec.n_attacks} actions")
-    r_max = spec.economics.r_max
-    acc_i = spec.models[model_index].acc
-    per_attack = np.empty(spec.n_attacks)
-    per_attack[:-1] = (1.0 - r_max) * acc_i + r_max * spec.robustness[model_index, :]
-    per_attack[-1] = acc_i
-    return float(r.probs @ per_attack)
+    return float(r.probs @ ccr_table(spec, spec.economics.r_max)[model_index])

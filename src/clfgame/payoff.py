@@ -31,10 +31,7 @@ from .core import (
     _check_model_index,
     _frozen_array,
     _require_real_attack,
-    asr,
-    asr_mixed,
-    ccr,
-    ccr_mixed,
+    ccr_table,
 )
 
 
@@ -118,54 +115,57 @@ def delta_mu_def(spec: GameSpec) -> float:
     return (o1 - o2) / _def_denominator(spec)
 
 
+def epps_tables(spec: GameSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample payoffs of every pure action pair: ``(E_adv, E_def)``, both N x M.
+
+    A player with success rate ``rate`` (ASR for the adversary, CCR at
+    ``rho = r_max`` for the defender) earns ``r_plus`` on a success, pays
+    ``r_minus`` on a failure and bears its ongoing cost.  The adversary's
+    no-attack column is 0: an idle adversary neither earns nor spends.
+    """
+
+    def epps(cost, r_minus, r_plus, rate):
+        return -cost - r_minus * (1.0 - rate) + r_plus * rate
+
+    e = spec.economics
+    asr = np.zeros((spec.n_models, spec.n_attacks))
+    asr[:, :-1] = 1.0 - spec.robustness
+    e_adv = epps(spec.attack_costs, e.r_minus_adv, e.r_plus_adv, asr)
+    e_adv[:, -1] = 0.0
+    e_def = epps(spec.model_costs[:, None], e.r_minus_def, e.r_plus_def, ccr_table(spec, e.r_max))
+    return e_adv, e_def
+
+
 def epps_adv_pure(spec: GameSpec, model_index: int, attack_index: int) -> float:
     """Adversary EPPS of a real attack against a pure model choice."""
-    e = spec.economics
-    a = asr(spec, model_index, attack_index)  # rejects NoAttack
-    o_j = spec.attacks[attack_index].ongoing_cost
-    return -o_j - e.r_minus_adv * (1.0 - a) + e.r_plus_adv * a
+    _check_model_index(spec, model_index)
+    _require_real_attack(spec, attack_index)
+    return float(epps_tables(spec)[0][model_index, attack_index])
 
 
 def epps_adv(spec: GameSpec, s: Strategy) -> EppsVector:
-    """Adversary EPPS of every action against a mixed model choice.
+    """Adversary EPPS of every action against a mixed model choice: ``s @ E_adv``.
 
-    The no-attack entry is fixed at 0: an idle adversary neither earns
-    nor spends per sample.
+    The no-attack entry is 0: an idle adversary neither earns nor spends
+    per sample.
     """
     if len(s) != spec.n_models:
         raise DimensionError(f"defender strategy length {len(s)} != {spec.n_models} models")
-    e = spec.economics
-    m = spec.n_attacks
-    values = np.zeros(m)
-    if m > 1:
-        asr_vec = 1.0 - s.probs @ spec.robustness
-        costs = np.array([spec.attacks[j].ongoing_cost for j in range(m - 1)])
-        values[:-1] = -costs - e.r_minus_adv + (e.r_plus_adv + e.r_minus_adv) * asr_vec
-    return EppsVector(values=values, owner="adversary")
+    return EppsVector(values=s.probs @ epps_tables(spec)[0], owner="adversary")
 
 
 def epps_def_pure(spec: GameSpec, model_index: int, attack_index: int) -> float:
     """Defender EPPS of a model against one pure adversary action, at rho = r_max."""
-    e = spec.economics
-    c = ccr(spec, model_index, attack_index, e.r_max)  # acc_i against NoAttack
-    o_i = spec.models[model_index].ongoing_cost
-    return -o_i - e.r_minus_def * (1.0 - c) + e.r_plus_def * c
+    _check_model_index(spec, model_index)
+    spec.is_real_attack(attack_index)  # raises IndexError when out of range
+    return float(epps_tables(spec)[1][model_index, attack_index])
 
 
 def epps_def(spec: GameSpec, r: Strategy) -> EppsVector:
-    """Defender EPPS of every model against a mixed adversary action."""
+    """Defender EPPS of every model against a mixed adversary action: ``E_def @ r``."""
     if len(r) != spec.n_attacks:
         raise DimensionError(f"adversary strategy length {len(r)} != {spec.n_attacks} actions")
-    e = spec.economics
-    values = np.array(
-        [
-            -spec.models[i].ongoing_cost
-            - e.r_minus_def
-            + (e.r_plus_def + e.r_minus_def) * ccr_mixed(spec, i, r)
-            for i in range(spec.n_models)
-        ]
-    )
-    return EppsVector(values=values, owner="defender")
+    return EppsVector(values=epps_tables(spec)[1] @ r.probs, owner="defender")
 
 
 def utility_adv(spec: GameSpec, s: Strategy, r: Strategy) -> float:
@@ -189,14 +189,7 @@ def payoff_matrices(spec: GameSpec) -> PayoffMatrices:
     equal ``s^T U r`` for both matrices.
     """
     e = spec.economics
-    n_models, n_attacks = spec.n_models, spec.n_attacks
-    u_adv = np.empty((n_models, n_attacks))
-    u_def = np.empty((n_models, n_attacks))
-    for i in range(n_models):
-        for j in range(n_attacks):
-            if spec.is_real_attack(j):
-                u_adv[i, j] = -e.i_adv + e.n * e.r_max * epps_adv_pure(spec, i, j)
-            else:
-                u_adv[i, j] = -e.i_adv
-            u_def[i, j] = -e.i_def + e.n * epps_def_pure(spec, i, j)
-    return PayoffMatrices(u_adv=u_adv, u_def=u_def)
+    e_adv, e_def = epps_tables(spec)
+    u_adv = -e.i_adv + e.n * e.r_max * e_adv
+    u_adv[:, -1] = -e.i_adv  # not -i_adv + 0.0, which turns -0.0 into 0.0
+    return PayoffMatrices(u_adv=u_adv, u_def=-e.i_def + e.n * e_def)

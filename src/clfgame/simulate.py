@@ -84,10 +84,8 @@ def simulate(spec: GameSpec, s: Strategy, r: Strategy, cfg: SimConfig) -> SimRes
     e = spec.economics
     n_models = spec.n_models
     n_real = spec.n_attacks - 1
-    acc = np.array([mdl.acc for mdl in spec.models])
-    model_costs = np.array([mdl.ongoing_cost for mdl in spec.models])
-    attack_costs = np.array([a.ongoing_cost for a in spec.attacks[:-1]])
-    rob = np.asarray(spec.robustness, dtype=float)
+    acc, model_costs, attack_costs = spec.acc, spec.model_costs, spec.attack_costs
+    rob = spec.robustness
 
     # the small nudge guards against the float product landing a hair
     # under an exactly-representable integer budget

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_EPS, GameSpec, Strategy, _frozen_array
+from .core import DEFAULT_EPS, GameSpec, Strategy, _frozen_array, check_attack_index
 from .payoff import PayoffMatrices, mu_def
 
 DEFAULT_TOL = DEFAULT_EPS
@@ -637,15 +637,13 @@ def upper_envelope_ccr(
     breakpoint where several lines meet is reported once with all
     participants.
     """
-    if not spec.is_real_attack(attack_index):
-        raise ValueError("envelope is defined against a real attack")
+    check_attack_index(spec, attack_index)
     n = spec.n_models
     r_max = spec.economics.r_max
-    acc = np.array([mdl.acc for mdl in spec.models])
-    rob = np.asarray(spec.robustness[:, attack_index], dtype=float)
+    acc = spec.acc
     mu = np.array([mu_def(spec, i) for i in range(n)])
     intercepts = acc - mu
-    slopes = rob - acc
+    slopes = spec.robustness[:, attack_index] - acc
 
     def values(rho: float) -> np.ndarray:
         return intercepts + slopes * rho

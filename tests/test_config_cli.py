@@ -833,3 +833,32 @@ def test_simulate_rejects_n_beyond_float_range(tmp_path, capsys):
     assert out == ""
     assert "n must be finite" in err
     assert "Traceback" not in err
+
+
+ATTACK_COMMANDS = [
+    ("ccr-curve",),
+    ("envelope",),
+    ("region-map", "--map", "adv", "--mu-adv=0.3"),
+    ("region-map", "--map", "def", "--delta-mu-def=0"),
+]
+
+
+@pytest.mark.parametrize("command", ATTACK_COMMANDS)
+@pytest.mark.parametrize("attack", ["-1", "1", "7"])  # 1 is shafahi_free's no-attack index
+def test_attack_index_must_name_a_real_attack(capsys, command, attack):
+    spec = str(bundled_config_path("shafahi_free"))
+    code, out, err = run_cli(capsys, command[0], "--spec", spec, *command[1:], "--attack", attack)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: attack index {attack} out of range: the real attacks are 0..0\n"
+
+
+@pytest.mark.parametrize("r_max", ["5", "-0.5", "1.0000001"])
+def test_region_map_rejects_r_max_outside_unit_interval(tmp_path, capsys, r_max):
+    path = write_config(tmp_path, GOOD_CONFIG)
+    code, out, err = run_cli(
+        capsys, "region-map", "--spec", path, "--map", "def", f"--r-max={r_max}"
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: r_max out of [0,1]\n"
