@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import sys
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -213,7 +214,7 @@ def _fmt_cell(value) -> str:
     return str(value)
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
+def _csv_text(header: list[str], rows: Iterable[Sequence]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -388,6 +389,8 @@ def cmd_cases(args: argparse.Namespace) -> int:
 
 def cmd_ccr_curve(args: argparse.Namespace) -> int:
     spec = load_spec(args.spec)
+    if args.grid < 2:
+        raise ValueError("grid must be at least 2")
     attack = args.attack
     check_attack_index(spec, attack)
     r_max = spec.economics.r_max
@@ -416,10 +419,7 @@ def cmd_ccr_curve(args: argparse.Namespace) -> int:
         "intersections": intersections,
     }
     names = list(spec.model_names())
-    rows = [
-        [report["rho"][k]] + [table[name][k] for name in names]
-        for k in range(len(report["rho"]))
-    ]
+    rows = zip(report["rho"], *(table[name] for name in names))  # lazy: read by CSV only
     _emit(report, "ccr_curve", args, csv_table=(["rho"] + names, rows))
     return EXIT_OK
 
@@ -448,8 +448,7 @@ def cmd_region_map(args: argparse.Namespace) -> int:
             for name, x, y, lbl in rm.points
         ],
     }
-    rows = [[x, y, lbl] for x, y, lbl in rm.cells]
-    _emit(report, "region_map", args, csv_table=(["x", "y", "case_label"], rows))
+    _emit(report, "region_map", args, csv_table=(["x", "y", "case_label"], rm.cells))
     return EXIT_OK
 
 

@@ -10,23 +10,31 @@ Untouched samples are classified correctly with probability ``acc_i``.
 Ongoing costs accrue per perturbed sample (adversary) and per classified
 sample (defender); investments are paid once per trial.
 
-Randomness comes from fixed-stride PCG64 substreams
-(``PCG64(seed).jumped(trial)``), one per trial, so results are
-bit-identical across runs and independent of trial order.  Draws that
-are deterministic (pure strategies, empty sample groups) consume no
-randomness, which keeps distributionally identical configurations
-stream-identical too.
+Randomness comes from fixed-stride PCG64 substreams: trial ``t`` draws
+from exactly the stream of ``PCG64(seed).jumped(t)``, so results are
+bit-identical across runs and independent of trial order.  The loop does
+not build a generator per trial.  One cursor starts at ``PCG64(seed)``
+and moves by numpy's jump stride after each trial; each trial copies the
+cursor's state into one reused ``Generator``.  The model lottery is
+``Generator.choice``'s own arithmetic, one uniform draw against the
+normalised cdf, with the cdf built once.  Draws that are deterministic
+(pure strategies, empty sample groups) consume no randomness, which
+keeps distributionally identical configurations stream-identical too.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import GameSpec, Strategy, _frozen_array, _is_finite
 from .payoff import utility_adv, utility_def
+
+# numpy's PCG64 jump stride: ``jumped(t)`` advances the state by t times this
+JUMP_STRIDE = 0x9E3779B97F4A7C15F39CC0605CEDC835
 
 
 @dataclass(frozen=True)
@@ -39,6 +47,8 @@ class SimConfig:
     r_max: float
 
     def __post_init__(self) -> None:
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
         if not _is_finite(self.n):
             raise ValueError("n must be finite")
         if int(self.n) != self.n or self.n < 1:
@@ -73,65 +83,67 @@ class ConvergenceReport:
     std_error_def: float
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(seed).jumped(trial))
-
-
 def simulate(spec: GameSpec, s: Strategy, r: Strategy, cfg: SimConfig) -> SimResult:
     """Run ``cfg.trials`` independent one-shot deployments of the profile (s, r)."""
     if len(s) != spec.n_models or len(r) != spec.n_attacks:
         raise ValueError("strategy lengths do not match the spec")
     e = spec.economics
-    n_models = spec.n_models
+    n = cfg.n
     n_real = spec.n_attacks - 1
-    acc, model_costs, attack_costs = spec.acc, spec.model_costs, spec.attack_costs
-    rob = spec.robustness
+    acc = spec.acc.tolist()
+    attack_costs = spec.attack_costs.tolist()
+    fool_p = (1.0 - spec.robustness).tolist()
+    # the defender's per-model terms, added in the same order as in the full sum
+    base_def = [-e.i_def - n * cost for cost in spec.model_costs.tolist()]
 
     # the small nudge guards against the float product landing a hair
     # under an exactly-representable integer budget
-    n_controlled = int(math.floor(cfg.n * cfg.r_max + 1e-9))
+    n_controlled = int(math.floor(n * cfg.r_max + 1e-9))
     pure_s = s.pure_index()
     pure_r = r.pure_index()
+    if pure_s is None:
+        cdf = s.probs.cumsum()
+        cdf /= cdf[-1]
+        cdf = cdf.tolist()
+    fixed_counts = None  # the attack counts, unless the adversary's mix is drawn per trial
+    if n_controlled == 0 or pure_r is not None:
+        fixed_counts = [0] * spec.n_attacks
+        if n_controlled:
+            fixed_counts[pure_r] = n_controlled
 
-    util_adv = np.empty(cfg.trials)
-    util_def = np.empty(cfg.trials)
-    models_played = np.empty(cfg.trials, dtype=int)
-
-    for t in range(cfg.trials):
-        rng = _trial_rng(cfg.seed, t)
-        i = pure_s if pure_s is not None else int(rng.choice(n_models, p=s.probs))
-
-        if n_controlled == 0:
-            counts = np.zeros(spec.n_attacks, dtype=int)
-        elif pure_r is not None:
-            counts = np.zeros(spec.n_attacks, dtype=int)
-            counts[pure_r] = n_controlled
+    util_adv, util_def, models_played = [], [], []
+    cursor = np.random.PCG64(cfg.seed)
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    trial_bits = rng.bit_generator
+    for _ in range(cfg.trials):
+        trial_bits.state = cursor.state
+        cursor.advance(JUMP_STRIDE)
+        i = pure_s if pure_s is not None else bisect_right(cdf, rng.random())
+        if fixed_counts is None:
+            counts = rng.multinomial(n_controlled, r.probs).tolist()
         else:
-            counts = rng.multinomial(n_controlled, r.probs)
+            counts = fixed_counts
 
         adv = -e.i_adv
         correct = 0
         attacked = 0
         for j in range(n_real):
-            c = int(counts[j])
+            c = counts[j]
             if c == 0:
                 continue
-            fooled = int(rng.binomial(c, 1.0 - rob[i, j]))
+            fooled = int(rng.binomial(c, fool_p[i][j]))
             adv += -attack_costs[j] * c + e.r_plus_adv * fooled - e.r_minus_adv * (c - fooled)
             correct += c - fooled
             attacked += c
-        clean = cfg.n - attacked
+        clean = n - attacked
         if clean:
             correct += int(rng.binomial(clean, acc[i]))
 
-        util_adv[t] = adv
-        util_def[t] = (
-            -e.i_def
-            - cfg.n * model_costs[i]
-            + e.r_plus_def * correct
-            - e.r_minus_def * (cfg.n - correct)
-        )
-        models_played[t] = i
+        util_adv.append(adv)
+        util_def.append(base_def[i] + e.r_plus_def * correct - e.r_minus_def * (n - correct))
+        models_played.append(i)
+    util_adv = np.array(util_adv, dtype=float)
+    util_def = np.array(util_def, dtype=float)
 
     def stderr(x: np.ndarray) -> float:
         if cfg.trials < 2:

@@ -4,7 +4,9 @@ README promises that a valid config never makes ``solve``,
 ``dominance``, ``envelope``, ``ccr-curve`` or ``region-map`` fail, and
 that reports never hold NaN or infinity.  The games are drawn up to 4 x 4,
 with zero and full attack budgets, free and costly actions, and rewards
-that put break-even points on round numbers.
+that put break-even points on round numbers.  ``simulate`` runs on any
+such game and profile and reruns to the same bytes; ``cases`` answers on
+ordered 2 x 2 games and refuses every other game with one error line.
 """
 
 import contextlib
@@ -87,3 +89,72 @@ def test_analysis_commands_write_strict_json(n, m, seed, budget, rounded):
             assert code == 0, (command, err.getvalue())
             with open(out) as fh:
                 json.load(fh, parse_constant=_reject_constant)
+
+
+def random_profile(rng, size: int) -> str:
+    """A pure, a fully mixed, or a mixed profile with some zero entries."""
+    probs = rng.dirichlet(np.ones(size))
+    kind = rng.integers(3)
+    if kind == 1:
+        probs = np.eye(size)[rng.integers(size)]
+    elif kind == 2:
+        probs[rng.random(size) < 0.4] = 0.0
+        probs = probs / probs.sum() if probs.sum() > 0 else np.eye(size)[0]
+    return ",".join(repr(v) for v in probs.tolist())
+
+
+def order_2x2(rng, config: dict) -> None:
+    """Rewrite a 2 x 2 config so that acc_1 > acc_2 > rob_2 > rob_1."""
+    rob_1, rob_2, acc_2, acc_1 = np.sort(rng.choice(np.arange(1, 20), 4, replace=False)) / 20
+    config["models"][0]["acc"], config["models"][1]["acc"] = float(acc_1), float(acc_2)
+    config["robustness"] = [[float(rob_1)], [float(rob_2)]]
+
+
+def run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@hypothesis.given(
+    n=st.integers(1, 4),
+    m=st.integers(2, 4),
+    seed=st.integers(0, 2**32 - 1),
+    budget=st.sampled_from(["uniform", "zero", "full"]),
+    rounded=st.booleans(),
+    ordered=st.booleans(),
+    trials=st.integers(1, 50),
+)
+def test_simulate_and_cases_write_strict_json(n, m, seed, budget, rounded, ordered, trials):
+    if ordered:
+        n = m = 2
+    rng = np.random.default_rng(seed)
+    config = random_config(rng, n, m, budget, rounded)
+    if ordered:
+        order_2x2(rng, config)
+    acc = [model["acc"] for model in config["models"]]
+    rob = config["robustness"]
+    closed_form = n == m == 2 and acc[0] > acc[1] > rob[1][0] > rob[0][0]
+    s_probs, r_probs = random_profile(rng, n), random_profile(rng, m)
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = os.path.join(tmp, "game.json")
+        with open(spec, "w") as fh:
+            json.dump(config, fh)
+
+        simulate = ["simulate", "--spec", spec, "--s-probs", s_probs, "--r-probs", r_probs,
+                    "--trials", str(trials), "--seed", str(seed)]
+        code, first, err = run(simulate)
+        assert code == 0, err
+        json.loads(first, parse_constant=_reject_constant)
+        assert run(simulate)[1] == first
+
+        for profile in ([], ["--s-probs", s_probs, "--r-probs", r_probs]):
+            code, out, err = run(["cases", "--spec", spec, *profile])
+            if closed_form:
+                assert code == 0, err
+                json.loads(out, parse_constant=_reject_constant)
+            else:
+                assert (code, out) == (1, "")
+                assert err.startswith("error: ") and err.count("\n") == 1, err
