@@ -31,7 +31,7 @@ from .analytic import (
     defender_preconditions,
     mixed_nash_2x2,
 )
-from .config import ConfigError, SpecValidationError, _validate, load_spec, spec_from_dict
+from .config import ConfigError, SpecValidationError, load_spec, read_config, spec_from_dict
 from .core import (
     DEFAULT_EPS,
     DimensionError,
@@ -56,146 +56,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_GUARD = 2
 EXIT_IO = 3
-
-# ---------------------------------------------------------------------------
-# report schemas
-
-_NUMBER_OR_NULL = {"type": ["number", "null"]}
-_NUMBER_ARRAY = {"type": "array", "items": {"type": "number"}}
-_STRATEGY_PAIR = {
-    "s": _NUMBER_ARRAY,
-    "r": _NUMBER_ARRAY,
-}
-
-REPORT_SCHEMAS: dict[str, dict] = {
-    "validate": {
-        "type": "object",
-        "required": ["command", "ok", "violations"],
-        "properties": {
-            "command": {"const": "validate"},
-            "ok": {"type": "boolean"},
-            "violations": {"type": "array", "items": {"type": "string"}},
-        },
-    },
-    "solve": {
-        "type": "object",
-        "required": [
-            "command",
-            "route",
-            "thresholds",
-            "pure_equilibria",
-            "mixed_equilibrium",
-            "equilibria",
-        ],
-        "properties": {
-            "command": {"const": "solve"},
-            "route": {"enum": ["closed_form", "support_enumeration"]},
-            "notice": {"type": ["string", "null"]},
-            "ordering_2x2": {"type": ["boolean", "null"]},
-            "thresholds": {"type": "object"},
-            "cases": {"type": ["object", "null"]},
-            "pure_equilibria": {"type": "array"},
-            "mixed_equilibrium": {"type": ["object", "null"]},
-            "equilibria": {"type": ["array", "null"]},
-        },
-    },
-    "cases": {
-        "type": "object",
-        "required": ["command", "thresholds", "adversary", "defender"],
-        "properties": {
-            "command": {"const": "cases"},
-            "thresholds": {"type": "object"},
-            "adversary": {"type": "object"},
-            "defender": {"type": "object"},
-        },
-    },
-    "ccr_curve": {
-        "type": "object",
-        "required": ["command", "attack_name", "r_max", "rho", "ccr", "intersections"],
-        "properties": {
-            "command": {"const": "ccr_curve"},
-            "attack_name": {"type": "string"},
-            "r_max": {"type": "number"},
-            "rho": _NUMBER_ARRAY,
-            "ccr": {"type": "object", "additionalProperties": _NUMBER_ARRAY},
-            "intersections": {"type": "array"},
-        },
-    },
-    "region_map": {
-        "type": "object",
-        "required": ["command", "map", "x_axis", "y_axis", "params", "cells", "points"],
-        "properties": {
-            "command": {"const": "region_map"},
-            "map": {"enum": ["adv", "def"]},
-            "x_axis": {"type": "string"},
-            "y_axis": {"type": "string"},
-            "params": {"type": "object"},
-            "cells": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "required": ["x", "y", "case_label"],
-                },
-            },
-            "points": {"type": "array"},
-        },
-    },
-    "dominance": {
-        "type": "object",
-        "required": ["command", "defender", "adversary"],
-        "properties": {
-            "command": {"const": "dominance"},
-            "defender": {"type": "array"},
-            "adversary": {"type": "array"},
-        },
-    },
-    "envelope": {
-        "type": "object",
-        "required": ["command", "attack_name", "r_max", "segments", "breakpoints"],
-        "properties": {
-            "command": {"const": "envelope"},
-            "segments": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "required": ["rho_start", "rho_end", "model", "model_name"],
-                },
-            },
-            "breakpoints": {"type": "array"},
-        },
-    },
-    "simulate": {
-        "type": "object",
-        "required": [
-            "command",
-            "seed",
-            "n",
-            "trials",
-            "r_max",
-            "mean_utility_adv",
-            "mean_utility_def",
-            "std_error_adv",
-            "std_error_def",
-            "analytic_utility_adv",
-            "analytic_utility_def",
-            "convergence_passed",
-            "per_trial",
-        ],
-        "properties": {
-            "command": {"const": "simulate"},
-            "per_trial": {
-                "type": "object",
-                "required": ["utility_adv", "utility_def", "model_played"],
-            },
-        },
-    },
-}
-
-
-def validate_report(command: str, report: dict) -> None:
-    """Assert a report matches its schema (internal sanity gate before emit)."""
-    _validate(command, REPORT_SCHEMAS[command], report)
-
 
 # ---------------------------------------------------------------------------
 # serialization helpers
@@ -223,13 +83,8 @@ def _csv_text(header: list[str], rows: Iterable[Sequence]) -> str:
     return buf.getvalue()
 
 
-def _emit(report: dict, command: str, args: argparse.Namespace, csv_table=None) -> None:
-    validate_report(command, report)
+def _emit(report: dict, args: argparse.Namespace, csv_table=None) -> None:
     if args.format == "csv":
-        if csv_table is None:
-            raise ConfigError(
-                "csv output is only available for the ccr-curve and region-map commands"
-            )
         text = _csv_text(*csv_table)
     else:
         text = json.dumps(report, indent=2, allow_nan=False) + "\n"
@@ -275,18 +130,9 @@ def _thresholds_json(spec: GameSpec) -> dict:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    with open(args.spec) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"{args.spec}:{err.lineno}:{err.colno}: {err.msg}") from err
-    spec = spec_from_dict(raw)
+    spec = spec_from_dict(read_config(args.spec))
     report = validate_spec(spec)
-    _emit(
-        {"command": "validate", "ok": report.ok, "violations": list(report.violations)},
-        "validate",
-        args,
-    )
+    _emit({"command": "validate", "ok": report.ok, "violations": list(report.violations)}, args)
     return EXIT_OK if report.ok else EXIT_VALIDATION
 
 
@@ -352,7 +198,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             }
             for eq in support_enumeration(m, tol=args.eps)
         ]
-    _emit(report, "solve", args)
+    _emit(report, args)
     return EXIT_OK
 
 
@@ -383,7 +229,7 @@ def cmd_cases(args: argparse.Namespace) -> int:
         "adversary": adversary,
         "defender": defender,
     }
-    _emit(report, "cases", args)
+    _emit(report, args)
     return EXIT_OK
 
 
@@ -420,7 +266,7 @@ def cmd_ccr_curve(args: argparse.Namespace) -> int:
     }
     names = list(spec.model_names())
     rows = zip(report["rho"], *(table[name] for name in names))  # lazy: read by CSV only
-    _emit(report, "ccr_curve", args, csv_table=(["rho"] + names, rows))
+    _emit(report, args, csv_table=(["rho"] + names, rows))
     return EXIT_OK
 
 
@@ -448,7 +294,7 @@ def cmd_region_map(args: argparse.Namespace) -> int:
             for name, x, y, lbl in rm.points
         ],
     }
-    _emit(report, "region_map", args, csv_table=(["x", "y", "case_label"], rm.cells))
+    _emit(report, args, csv_table=(["x", "y", "case_label"], rm.cells))
     return EXIT_OK
 
 
@@ -481,7 +327,7 @@ def cmd_dominance(args: argparse.Namespace) -> int:
         "defender": side("defender", spec.model_names()),
         "adversary": side("adversary", spec.attack_names()),
     }
-    _emit(report, "dominance", args)
+    _emit(report, args)
     return EXIT_OK
 
 
@@ -511,7 +357,7 @@ def cmd_envelope(args: argparse.Namespace) -> int:
             for bp in env.breakpoints
         ],
     }
-    _emit(report, "envelope", args)
+    _emit(report, args)
     return EXIT_OK
 
 
@@ -548,7 +394,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "model_played": [int(v) for v in res.models_played],
         },
     }
-    _emit(report, "simulate", args)
+    _emit(report, args)
     return EXIT_OK
 
 
@@ -640,6 +486,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # refused before any work: only the plot-data commands have a table to write
+        if args.format == "csv" and args.command not in ("ccr-curve", "region-map"):
+            raise ConfigError(
+                "csv output is only available for the ccr-curve and region-map commands"
+            )
         return args.handler(args)
     except (ConfigError, SpecValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,7 +12,6 @@ import json
 from importlib import resources
 from pathlib import Path
 
-import jsonschema
 from jsonschema.exceptions import best_match
 from jsonschema.validators import validator_for
 
@@ -90,28 +89,8 @@ CONFIG_SCHEMA = {
 }
 
 
-# One validator per schema name, built on the schema's first use in the process.
-_VALIDATORS: dict[str, jsonschema.protocols.Validator] = {}
-
-
-def _validate(name: str, schema: dict, instance) -> None:
-    """``jsonschema.validate(instance, schema)``, checking the schema only once.
-
-    Checking a schema against its metaschema costs far more than validating
-    a small instance, and the schemas here are constants, so the check and
-    the validator's construction happen on the first call for ``name``
-    (raising ``SchemaError`` there for a broken schema).  Every call still
-    validates the whole instance and raises the error ``jsonschema.validate``
-    would pick.
-    """
-    validator = _VALIDATORS.get(name)
-    if validator is None:
-        cls = validator_for(schema)
-        cls.check_schema(schema)
-        validator = _VALIDATORS[name] = cls(schema)
-    error = best_match(validator.iter_errors(instance))
-    if error is not None:
-        raise error
+# Built once: the schema is a constant, checked against its metaschema by the tests.
+_CONFIG_VALIDATOR = validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
 
 
 class ConfigError(ValueError):
@@ -128,9 +107,9 @@ class SpecValidationError(ValueError):
 
 def spec_from_dict(raw: dict) -> GameSpec:
     """Build a GameSpec from parsed config JSON (appends the no-attack action)."""
-    try:
-        _validate("config", CONFIG_SCHEMA, raw)
-    except jsonschema.ValidationError as err:
+    # the error ``jsonschema.validate(raw, CONFIG_SCHEMA)`` would raise
+    err = best_match(_CONFIG_VALIDATOR.iter_errors(raw))
+    if err is not None:
         where = "/".join(str(p) for p in err.absolute_path) or "<root>"
         raise ConfigError(f"config field {where}: {err.message}") from err
     models = tuple(
@@ -164,12 +143,12 @@ def spec_from_dict(raw: dict) -> GameSpec:
     return GameSpec(models=models, attacks=attacks, robustness=rows, economics=economics)
 
 
-def load_spec(path: str | Path) -> GameSpec:
-    """Load and fully validate a config file.
+def read_config(path: str | Path) -> dict:
+    """Parse a config file into its top-level JSON object.
 
-    Raises ConfigError on parse/schema problems (with line or field
-    context), SpecValidationError when game invariants fail, and lets
-    OSError through for unreadable paths.
+    Raises ConfigError for invalid JSON (with line and column) or a
+    top-level value that is not an object, and lets OSError through for
+    unreadable paths.
     """
     text = Path(path).read_text()
     try:
@@ -178,7 +157,16 @@ def load_spec(path: str | Path) -> GameSpec:
         raise ConfigError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top-level JSON value must be an object")
-    spec = spec_from_dict(raw)
+    return raw
+
+
+def load_spec(path: str | Path) -> GameSpec:
+    """Load and fully validate a config file.
+
+    Raises what ``read_config`` and ``spec_from_dict`` raise, and
+    SpecValidationError when game invariants fail.
+    """
+    spec = spec_from_dict(read_config(path))
     report = validate_spec(spec)
     if not report.ok:
         raise SpecValidationError(report)

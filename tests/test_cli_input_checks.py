@@ -1,4 +1,4 @@
-"""Bad plot-grid and seed flags exit 1 with one clear line and no report."""
+"""Bad flags and unreadable configs exit 1 with one clear line and no report."""
 
 import pytest
 
@@ -35,3 +35,33 @@ def test_simulate_rejects_negative_seed(capsys):
     assert code == 1
     assert out == ""
     assert err == "error: seed must be a non-negative integer\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve"],
+        ["simulate", "--s-probs", "0.2,0.2,0.2,0.2,0.2", "--r-probs", "0.5,0.5", "--trials", "200000"],
+    ],
+)
+def test_csv_is_refused_before_any_work(capsys, monkeypatch, argv):
+    def never(*args, **kwargs):
+        raise AssertionError("the command ran before refusing --format csv")
+
+    monkeypatch.setattr(cli, "support_enumeration", never)
+    monkeypatch.setattr(cli, "simulate", never)
+    spec = str(bundled_config_path("shafahi_free"))
+    code, out, err = run_cli(capsys, argv[0], "--spec", spec, *argv[1:], "--format", "csv")
+    assert (code, out) == (1, "")
+    assert err == "error: csv output is only available for the ccr-curve and region-map commands\n"
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '{"models": [,]}'])
+def test_validate_reads_the_config_like_solve(tmp_path, capsys, text):
+    path = tmp_path / "game.json"
+    path.write_text(text)
+    validate, solve = (run_cli(capsys, command, "--spec", str(path)) for command in ("validate", "solve"))
+    assert validate == solve
+    code, out, err = solve
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {path}") and err.count("\n") == 1

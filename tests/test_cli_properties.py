@@ -7,6 +7,10 @@ with zero and full attack budgets, free and costly actions, and rewards
 that put break-even points on round numbers.  ``simulate`` runs on any
 such game and profile and reruns to the same bytes; ``cases`` answers on
 ordered 2 x 2 games and refuses every other game with one error line.
+Every JSON report parsed here must also match its schema in
+``report_schemas``, which the program itself no longer checks.  A game
+with one broken field always yields a violation: ``validate`` lists it
+and ``solve`` refuses to run.
 """
 
 import contextlib
@@ -19,6 +23,7 @@ import numpy as np
 import pytest
 
 from clfgame import cli
+from report_schemas import validate_report
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -88,7 +93,8 @@ def test_analysis_commands_write_strict_json(n, m, seed, budget, rounded):
                 code = cli.main([command[0], "--spec", spec, "--out", out, *command[1:]])
             assert code == 0, (command, err.getvalue())
             with open(out) as fh:
-                json.load(fh, parse_constant=_reject_constant)
+                report = json.load(fh, parse_constant=_reject_constant)
+            validate_report(command[0].replace("-", "_"), report)
 
 
 def random_profile(rng, size: int) -> str:
@@ -147,14 +153,85 @@ def test_simulate_and_cases_write_strict_json(n, m, seed, budget, rounded, order
                     "--trials", str(trials), "--seed", str(seed)]
         code, first, err = run(simulate)
         assert code == 0, err
-        json.loads(first, parse_constant=_reject_constant)
+        validate_report("simulate", json.loads(first, parse_constant=_reject_constant))
         assert run(simulate)[1] == first
 
         for profile in ([], ["--s-probs", s_probs, "--r-probs", r_probs]):
             code, out, err = run(["cases", "--spec", spec, *profile])
             if closed_form:
                 assert code == 0, err
-                json.loads(out, parse_constant=_reject_constant)
+                validate_report("cases", json.loads(out, parse_constant=_reject_constant))
             else:
                 assert (code, out) == (1, "")
                 assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+FAULTS = (
+    "acc above 1",
+    "negative model cost",
+    "negative attack cost",
+    "NaN model cost",
+    "NaN attack cost",
+    "robustness outside [0, 1]",
+    "r_max above 1",
+    "n = 0",
+    "adversary's reward denominator zero",
+    "defender's reward denominator zero",
+    "duplicate name",
+)
+
+
+def break_field(rng, config: dict, fault: str) -> None:
+    """Make exactly one field of a valid config violate a game invariant."""
+    models, attacks, economics = config["models"], config["attacks"], config["economics"]
+    model, attack = int(rng.integers(len(models))), int(rng.integers(len(attacks)))
+    action = models[model] if "model" in fault else attacks[attack]
+    if fault == "acc above 1":
+        models[model]["acc"] = 1.0 + float(rng.uniform(1e-6, 1.0))
+    elif fault.startswith("negative"):
+        action["ongoing_cost"] = -float(rng.uniform(1e-6, 1.0))
+    elif fault.startswith("NaN"):
+        action["ongoing_cost"] = float("nan")
+    elif fault == "robustness outside [0, 1]":
+        outside = float(rng.uniform(1e-6, 1.0))
+        config["robustness"][model][attack] = -outside if rng.integers(2) else 1.0 + outside
+    elif fault == "r_max above 1":
+        economics["r_max"] = 1.0 + float(rng.uniform(1e-6, 1.0))
+    elif fault == "n = 0":
+        economics["n"] = 0
+    elif fault.endswith("reward denominator zero"):  # R_plus + R_minus of one side
+        side = "adv" if fault.startswith("adversary") else "def"
+        economics[f"R_plus_{side}"] = economics[f"R_minus_{side}"] = 0.0
+    elif len(models) > 1:
+        models[-1]["name"] = models[0]["name"]
+    else:
+        attacks[attack]["name"] = "no_attack"  # the name of the implicit no-attack action
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+@hypothesis.settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@hypothesis.given(
+    n=st.integers(1, 4),
+    m=st.integers(2, 4),
+    seed=st.integers(0, 2**32 - 1),
+    budget=st.sampled_from(["uniform", "zero", "full"]),
+    rounded=st.booleans(),
+)
+def test_one_broken_field_is_always_a_violation(n, m, seed, budget, rounded, fault):
+    rng = np.random.default_rng(seed)
+    config = random_config(rng, n, m, budget, rounded)
+    break_field(rng, config, fault)
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = os.path.join(tmp, "game.json")
+        with open(spec, "w") as fh:
+            json.dump(config, fh)  # writes a NaN token, which the loader accepts
+
+        code, out, err = run(["validate", "--spec", spec])
+        assert code == 1, (fault, err)
+        report = json.loads(out)
+        validate_report("validate", report)
+        assert report["ok"] is False and report["violations"], fault
+
+        code, out, err = run(["solve", "--spec", spec])
+        assert (code, out) == (1, ""), fault
+        assert err.startswith("error: ") and err.count("\n") == 1, err

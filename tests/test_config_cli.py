@@ -12,7 +12,7 @@ import jsonschema
 import pytest
 from jsonschema.validators import validator_for
 
-from clfgame import cli, config
+from clfgame import cli
 from clfgame.config import (
     CONFIG_SCHEMA,
     ConfigError,
@@ -23,6 +23,7 @@ from clfgame.config import (
 )
 
 from conftest import make_spec
+from report_schemas import REPORT_SCHEMAS, validate_report
 
 
 GOOD_CONFIG = {
@@ -219,7 +220,7 @@ class TestSolveCommand:
         assert report["route"] == "support_enumeration"
         assert report["notice"]
         assert report["equilibria"]
-        cli.validate_report("solve", report)
+        validate_report("solve", report)
 
 
 class TestTableCommands:
@@ -404,7 +405,7 @@ class TestSimulateCommand:
         assert report["n"] == 500
         assert report["trials"] == 20
         assert len(report["per_trial"]["utility_def"]) == 20
-        cli.validate_report("simulate", report)
+        validate_report("simulate", report)
 
     def test_convergence_field(self, tmp_path, capsys):
         path = write_config(tmp_path, GOOD_CONFIG)
@@ -460,7 +461,7 @@ class TestReportSchemas:
             assert code == 0, (command, err)
             report = json.loads(out)
             assert report["command"] == command
-            cli.validate_report(command, report)
+            validate_report(command, report)
 
 
 def declared_console_script(name):
@@ -587,56 +588,61 @@ def test_non_finite_config_is_rejected_before_solving(tmp_path, capfd, field, va
 
 
 # ---------------------------------------------------------------------------
-# schema checks: each schema is checked against its metaschema once per process
+# schema checks: the tests check every schema against its metaschema; the
+# program never does
 
 
-@pytest.fixture
-def fresh_validators(monkeypatch):
-    """An empty validator cache, as in a process that has checked no schema yet."""
-    monkeypatch.setattr(config, "_VALIDATORS", {})
-
-
-def _count_schema_checks(monkeypatch) -> list:
-    checked = []
-    cls = validator_for(CONFIG_SCHEMA)
-    original = cls.check_schema
-
-    def check_schema(schema, *args, **kwargs):
-        checked.append(schema)
-        return original(schema, *args, **kwargs)
-
-    monkeypatch.setattr(cls, "check_schema", staticmethod(check_schema))
-    return checked
-
-
-@pytest.mark.parametrize("name", ["config", *cli.REPORT_SCHEMAS])
+@pytest.mark.parametrize("name", ["config", *REPORT_SCHEMAS])
 def test_schemas_pass_check_schema(name):
-    schema = CONFIG_SCHEMA if name == "config" else cli.REPORT_SCHEMAS[name]
+    schema = CONFIG_SCHEMA if name == "config" else REPORT_SCHEMAS[name]
     validator_for(schema).check_schema(schema)
 
 
-def test_each_schema_is_checked_once(fresh_validators, monkeypatch):
-    assert {validator_for(s) for s in [CONFIG_SCHEMA, *cli.REPORT_SCHEMAS.values()]} == {
-        validator_for(CONFIG_SCHEMA)
-    }
-    checked = _count_schema_checks(monkeypatch)
-    for _ in range(3):
-        spec_from_dict(GOOD_CONFIG)
-        for command in cli.REPORT_SCHEMAS:
-            with pytest.raises(jsonschema.ValidationError):
-                cli.validate_report(command, {})
-    assert len(checked) == 1 + len(cli.REPORT_SCHEMAS)
-    assert checked[0] is CONFIG_SCHEMA
-    assert checked[1:] == list(cli.REPORT_SCHEMAS.values())
+# Counts every metaschema check in a fresh interpreter, from the import on.
+_COUNT_SCHEMA_CHECKS = """
+import contextlib, io, json, sys
+import jsonschema
+
+checked = []
+for name in dir(jsonschema):
+    cls = getattr(jsonschema, name)
+    if name.endswith("Validator") and hasattr(cls, "check_schema"):
+        def check_schema(schema, *args, original=cls.check_schema, **kwargs):
+            checked.append(schema)
+            return original(schema, *args, **kwargs)
+        cls.check_schema = staticmethod(check_schema)
+
+from clfgame import cli
+
+codes = []
+for _ in range(3):
+    for argv in json.loads(sys.argv[1]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes.append(cli.main(argv))
+print(json.dumps({"codes": codes, "checked": len(checked)}))
+"""
 
 
-def test_repeated_commands_check_each_schema_once(fresh_validators, tmp_path, capsys, monkeypatch):
-    checked = _count_schema_checks(monkeypatch)
+def test_commands_never_check_a_schema(tmp_path):
     path = write_config(tmp_path, GOOD_CONFIG)
-    for _ in range(3):
-        assert run_cli(capsys, "validate", "--spec", path)[0] == 0
-        assert run_cli(capsys, "solve", "--spec", path)[0] == 0
-    assert checked == [CONFIG_SCHEMA, cli.REPORT_SCHEMAS["validate"], cli.REPORT_SCHEMAS["solve"]]
+    commands = [
+        ["validate", "--spec", path],
+        ["solve", "--spec", path],
+        ["region-map", "--spec", path, "--map", "adv", "--grid", "5"],
+        ["simulate", "--spec", path, "--s-probs", "0.5,0.5", "--r-probs", "0.5,0.5", "--trials", "5"],
+    ]
+    src_dir = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src_dir), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _COUNT_SCHEMA_CHECKS, json.dumps(commands)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"codes": [0] * 12, "checked": 0}
 
 
 def _malformed_configs() -> dict[str, dict]:
@@ -666,24 +672,17 @@ def _malformed_configs() -> dict[str, dict]:
 
 
 @pytest.mark.parametrize("case", list(_malformed_configs()))
-def test_schema_errors_match_jsonschema_validate(fresh_validators, case):
+def test_schema_errors_match_jsonschema_validate(case):
     raw = _malformed_configs()[case]
     with pytest.raises(jsonschema.ValidationError) as reference:
         jsonschema.validate(raw, CONFIG_SCHEMA)
     where = "/".join(str(p) for p in reference.value.absolute_path) or "<root>"
     expected = f"config field {where}: {reference.value.message}"
-    for _ in range(3):  # the first call builds the validator, later ones reuse it
+    for _ in range(3):  # every call goes through the one module-level validator
         with pytest.raises(ConfigError) as info:
             spec_from_dict(raw)
         assert str(info.value) == expected
         assert info.value.__cause__.absolute_path == reference.value.absolute_path
-
-
-def test_broken_schema_raises_schema_error_on_first_use(fresh_validators, monkeypatch):
-    monkeypatch.setitem(cli.REPORT_SCHEMAS, "broken", {"type": "no_such_type"})
-    for _ in range(2):
-        with pytest.raises(jsonschema.SchemaError):
-            cli.validate_report("broken", {})
 
 
 # ---------------------------------------------------------------------------
