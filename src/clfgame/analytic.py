@@ -35,6 +35,8 @@ from .core import (
     DimensionError,
     GameSpec,
     Strategy,
+    _check_model_index,
+    _require_real_attack,
     asr_mixed,
     check_attack_index,
     check_ordering_2x2,
@@ -48,12 +50,19 @@ class OrderingError(ValueError):
 
 
 class AdversaryCase(enum.Enum):
+    """Adversary regime: ASR(s) below, above or at ``mu_adv``, in that order.
+
+    ``DefenderCase`` shares the order, which the case and reach rules index.
+    """
+
     NEVER_ATTACK = "never_attack"  # case 1: ASR below break-even, idle is optimal
     ALWAYS_ATTACK = "always_attack"  # case 2: ASR above break-even, attack is optimal
     INDIFFERENT = "indifferent"  # case 3: exactly at break-even, any mix optimal
 
 
 class DefenderCase(enum.Enum):
+    """Defender regime: dCCR(r) below, above or at ``dmu_def``, in that order."""
+
     ALWAYS_DEFEND = "always_defend"  # case A: hardened model 2 is optimal
     NEVER_DEFEND = "never_defend"  # case B: accurate model 1 is optimal
     INDIFFERENT = "indifferent"  # case C: exactly at break-even, any mix optimal
@@ -134,82 +143,82 @@ def delta_ccr(spec: GameSpec, r: Strategy) -> float:
     return da - r1 * spec.economics.r_max * (da + dr)
 
 
+def _case_at(cases: type[enum.Enum], gap: float, eps: float):
+    """The member of ``cases`` for ``gap`` = quantity - break-even: below, above or at."""
+    below, above, at = cases
+    if gap < -eps:
+        return below
+    if gap > eps:
+        return above
+    return at
+
+
+def _reachable(cases: type[enum.Enum], flags) -> frozenset:
+    return frozenset(case for case, ok in zip(cases, flags) if ok)
+
+
+# action 1 below break-even, action 0 above, any mix at: for both players
+_RESPONSES = (BestResponseSet.pure(1), BestResponseSet.pure(0), BestResponseSet.any_mix())
+
+
+def _best_response(case: enum.Enum) -> BestResponseSet:
+    return _RESPONSES[list(type(case)).index(case)]
+
+
+def _adversary_reach(rob_2, rob_1, mu):
+    """Whether ASR(s) can fall below, rise above and sit at ``mu``, on floats or arrays.
+
+    ASR(s) sweeps [1 - rob_2, 1 - rob_1] as s_1 runs over [0, 1].
+    """
+    b = 1.0 - mu
+    return b < rob_2, rob_1 < b, (rob_1 <= b) & (b <= rob_2)
+
+
+def _defender_reach(t, r_max):
+    """Whether dCCR(r) can fall below, rise above and sit at ``dmu_def``, on floats or arrays.
+
+    dCCR crosses break-even at the attacked fraction ``t`` (the defend
+    threshold), and ``r_1 * r_max`` sweeps [0, r_max].  Above reads ``t > 0``,
+    not ``dmu_def < dacc``: under the ordering ``0 < dacc + drob < 2``, so ``t``
+    has the sign of ``dacc - dmu_def``, and a nonzero numerator divided by a
+    number below 2 cannot round to 0.
+    """
+    return t < r_max, t > 0.0, (0.0 <= t) & (t <= r_max)
+
+
 def adversary_case(spec: GameSpec, s: Strategy, eps: float = DEFAULT_EPS) -> AdversaryCase:
     """Which regime the adversary is in against defender mix ``s``."""
     _require_ordered(spec)
-    gap = asr_mixed(spec, s, 0) - mu_adv(spec, 0)
-    if gap < -eps:
-        return AdversaryCase.NEVER_ATTACK
-    if gap > eps:
-        return AdversaryCase.ALWAYS_ATTACK
-    return AdversaryCase.INDIFFERENT
+    return _case_at(AdversaryCase, asr_mixed(spec, s, 0) - mu_adv(spec, 0), eps)
 
 
 def adversary_preconditions(spec: GameSpec) -> frozenset[AdversaryCase]:
-    """Which adversary regimes are reachable for *some* defender mix.
-
-    ASR(s) sweeps [1 - rob_2, 1 - rob_1] as s_1 runs over [0, 1], so each
-    regime is reachable iff the break-even point sits on the right side of
-    (or inside) that interval.
-    """
+    """Which adversary regimes are reachable for *some* defender mix."""
     _require_ordered(spec)
-    m = mu_adv(spec, 0)
-    rob1 = float(spec.robustness[0, 0])
-    rob2 = float(spec.robustness[1, 0])
-    out = set()
-    if 1.0 - m < rob2:
-        out.add(AdversaryCase.NEVER_ATTACK)
-    if rob1 < 1.0 - m:
-        out.add(AdversaryCase.ALWAYS_ATTACK)
-    if rob1 <= 1.0 - m <= rob2:
-        out.add(AdversaryCase.INDIFFERENT)
-    return frozenset(out)
+    rob_1, rob_2 = spec.robustness[:, 0].tolist()
+    return _reachable(AdversaryCase, _adversary_reach(rob_2, rob_1, mu_adv(spec, 0)))
 
 
 def defender_case(spec: GameSpec, r: Strategy, eps: float = DEFAULT_EPS) -> DefenderCase:
     """Which regime the defender is in against adversary mix ``r``."""
     _require_ordered(spec)
-    gap = delta_ccr(spec, r) - delta_mu_def(spec)
-    if gap < -eps:
-        return DefenderCase.ALWAYS_DEFEND
-    if gap > eps:
-        return DefenderCase.NEVER_DEFEND
-    return DefenderCase.INDIFFERENT
+    return _case_at(DefenderCase, delta_ccr(spec, r) - delta_mu_def(spec), eps)
 
 
 def defender_preconditions(spec: GameSpec) -> frozenset[DefenderCase]:
     """Which defender regimes are reachable for *some* adversary mix."""
     _require_ordered(spec)
-    t = defend_threshold(spec)
-    r_max = spec.economics.r_max
-    out = set()
-    if t < r_max:
-        out.add(DefenderCase.ALWAYS_DEFEND)
-    if delta_mu_def(spec) < delta_acc(spec):
-        out.add(DefenderCase.NEVER_DEFEND)
-    if 0.0 <= t <= r_max:
-        out.add(DefenderCase.INDIFFERENT)
-    return frozenset(out)
+    return _reachable(DefenderCase, _defender_reach(defend_threshold(spec), spec.economics.r_max))
 
 
 def best_response_adv(spec: GameSpec, s: Strategy, eps: float = DEFAULT_EPS) -> BestResponseSet:
     """Adversary best response to defender mix ``s``: attack, idle, or any mix."""
-    case = adversary_case(spec, s, eps)
-    if case is AdversaryCase.ALWAYS_ATTACK:
-        return BestResponseSet.pure(0)
-    if case is AdversaryCase.NEVER_ATTACK:
-        return BestResponseSet.pure(spec.no_attack_index)
-    return BestResponseSet.any_mix()
+    return _best_response(adversary_case(spec, s, eps))
 
 
 def best_response_def(spec: GameSpec, r: Strategy, eps: float = DEFAULT_EPS) -> BestResponseSet:
     """Defender best response to adversary mix ``r``: model 1, model 2, or any mix."""
-    case = defender_case(spec, r, eps)
-    if case is DefenderCase.NEVER_DEFEND:
-        return BestResponseSet.pure(0)
-    if case is DefenderCase.ALWAYS_DEFEND:
-        return BestResponseSet.pure(1)
-    return BestResponseSet.any_mix()
+    return _best_response(defender_case(spec, r, eps))
 
 
 def defend_threshold(spec: GameSpec) -> float:
@@ -232,27 +241,21 @@ def _defend_threshold(d_acc, d_rob, d_mu):
 def mixed_nash_2x2(spec: GameSpec, eps: float = DEFAULT_EPS) -> MixedEquilibrium2x2 | None:
     """The unique fully mixed equilibrium, or None when it does not exist.
 
-    Exists exactly when both indifference points are interior:
-    ``rob_1 < 1 - mu_adv < rob_2`` and ``0 < t < r_max`` for the defend
-    threshold ``t``.  Boundary equality produces no fully mixed point and
-    returns None; so does ``r_max = 0``.  The returned strategies are
-    certified against the full payoff matrices and the deviation gains
-    are reported as residuals.
+    Exists exactly when both players can land strictly on either side of
+    break-even: ``rob_1 < 1 - mu_adv < rob_2`` and ``0 < t < r_max`` for the
+    defend threshold ``t``.  Boundary equality, ``r_max = 0`` included,
+    gives None.  The returned strategies are certified against the full
+    payoff matrices and the deviation gains are reported as residuals.
     """
     _require_ordered(spec)
-    e = spec.economics
-    if e.r_max <= 0.0:
-        return None
+    r_max = spec.economics.r_max
+    rob_1, rob_2 = spec.robustness[:, 0].tolist()
     m = mu_adv(spec, 0)
-    rob1 = float(spec.robustness[0, 0])
-    rob2 = float(spec.robustness[1, 0])
-    if not rob1 < 1.0 - m < rob2:
-        return None
     t = defend_threshold(spec)
-    if not 0.0 < t < e.r_max:
+    if not all(_adversary_reach(rob_2, rob_1, m)[:2] + _defender_reach(t, r_max)[:2]):
         return None
-    s1 = (rob2 - 1.0 + m) / delta_rob(spec)
-    r1 = t / e.r_max
+    s1 = (rob_2 - 1.0 + m) / delta_rob(spec)
+    r1 = t / r_max
     s_star = Strategy((s1, 1.0 - s1))
     r_star = Strategy((r1, 1.0 - r1))
     cert = verify_equilibrium(payoff_matrices(spec), s_star, r_star, tol=eps)
@@ -270,17 +273,14 @@ def ccr_intersection(spec: GameSpec, model_a: int, model_b: int, attack_index: i
     Returns the exact crossing point when it lies in [0, 1]; None when the
     lines are parallel or cross outside the unit interval.
     """
-    from .core import _check_model_index, _require_real_attack
-
     _check_model_index(spec, model_a)
     _check_model_index(spec, model_b)
     _require_real_attack(spec, attack_index)
     dacc = spec.models[model_a].acc - spec.models[model_b].acc
     drob = float(spec.robustness[model_b, attack_index] - spec.robustness[model_a, attack_index])
-    denom = dacc + drob
-    if denom == 0.0:
+    if dacc + drob == 0.0:
         return None
-    rho = dacc / denom
+    rho = _defend_threshold(dacc, drob, 0.0)
     if 0.0 <= rho <= 1.0:
         return rho
     return None
@@ -305,18 +305,15 @@ class RegionMap:
     points: tuple[tuple[str, float, float, str], ...]
 
 
+def _region_codes(invalid, reach) -> np.ndarray:
+    """Case-label indices from reach flags: at if reachable, else the one side reached."""
+    _, above, at = reach
+    return np.select([invalid, at, above], [0, 3, 2], default=1)
+
+
 def _adversary_codes(rob_2: np.ndarray, rob_1: np.ndarray, mu_adv: float) -> np.ndarray:
     """Reachable adversary cases at (rob_2, rob_1) points, as ADV_CASE_LABELS indices."""
-    breakeven_asr = 1.0 - mu_adv
-    return np.select(
-        [
-            rob_1 >= rob_2,
-            (rob_1 <= breakeven_asr) & (breakeven_asr <= rob_2),
-            rob_2 < breakeven_asr,
-        ],
-        [0, 3, 2],
-        default=1,
-    )
+    return _region_codes(rob_1 >= rob_2, _adversary_reach(rob_2, rob_1, mu_adv))
 
 
 def _defender_codes(
@@ -326,7 +323,7 @@ def _defender_codes(
     invalid = (d_acc <= 0.0) | (d_rob <= 0.0) | (d_acc + d_rob >= 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):  # only invalid points divide by 0
         t = _defend_threshold(d_acc, d_rob, delta_mu_def)
-    return np.select([invalid, t < 0.0, t > r_max], [0, 1, 2], default=3)
+    return _region_codes(invalid, _defender_reach(t, r_max))
 
 
 def build_region_map(

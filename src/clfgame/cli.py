@@ -31,7 +31,7 @@ from .analytic import (
     defender_preconditions,
     mixed_nash_2x2,
 )
-from .config import ConfigError, SpecValidationError, load_spec, read_config, spec_from_dict
+from .config import ConfigError, load_spec, read_config, spec_from_dict
 from .core import (
     DEFAULT_EPS,
     DimensionError,
@@ -42,7 +42,7 @@ from .core import (
     check_ordering_2x2,
     validate_spec,
 )
-from .payoff import delta_mu_def, mu_adv, mu_def, payoff_matrices
+from .payoff import break_even_rates, delta_mu_def, payoff_matrices
 from .simulate import SimConfig, convergence_check, simulate
 from .solver import (
     SolverGuardError,
@@ -68,18 +68,11 @@ def _finite_or_none(x: float | None) -> float | None:
     return x if np.isfinite(x) else None
 
 
-def _fmt_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _csv_text(header: list[str], rows: Iterable[Sequence]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt_cell(v) for v in row])
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -110,9 +103,10 @@ def _br_json(br) -> dict:
 
 
 def _thresholds_json(spec: GameSpec) -> dict:
+    rates_adv, rates_def = break_even_rates(spec)
     out = {
-        "mu_adv": [mu_adv(spec, j) for j in spec.real_attack_indices()],
-        "mu_def": [mu_def(spec, i) for i in range(spec.n_models)],
+        "mu_adv": rates_adv.tolist(),
+        "mu_def": rates_def.tolist(),
         "delta_mu_def": None,
         "defend_threshold": None,
     }
@@ -492,9 +486,6 @@ def main(argv=None) -> int:
                 "csv output is only available for the ccr-curve and region-map commands"
             )
         return args.handler(args)
-    except (ConfigError, SpecValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except SolverGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD

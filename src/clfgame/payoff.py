@@ -74,45 +74,51 @@ class PayoffMatrices:
         return int(self.u_adv.shape[1])
 
 
-def _adv_denominator(spec: GameSpec) -> float:
-    e = spec.economics
-    denom = e.r_plus_adv + e.r_minus_adv
+def _rate_denominator(r_plus: float, r_minus: float, player: str) -> float:
+    denom = r_plus + r_minus
     if denom <= 0.0:
-        raise ValueError("r_plus_adv + r_minus_adv must be positive")
+        raise ValueError(f"r_plus_{player} + r_minus_{player} must be positive")
     return denom
 
 
-def _def_denominator(spec: GameSpec) -> float:
+def break_even_rates(spec: GameSpec) -> tuple[np.ndarray, np.ndarray]:
+    """``(mu_adv, mu_def)``, one rate per real attack and one per model.
+
+    Each entry is ``(o + r_minus) / (r_plus + r_minus)`` in Python arithmetic,
+    so integer costs and rewards give the correctly rounded quotient.
+    """
     e = spec.economics
-    denom = e.r_plus_def + e.r_minus_def
-    if denom <= 0.0:
-        raise ValueError("r_plus_def + r_minus_def must be positive")
-    return denom
+    d_adv = _rate_denominator(e.r_plus_adv, e.r_minus_adv, "adv")
+    d_def = _rate_denominator(e.r_plus_def, e.r_minus_def, "def")
+    return (
+        np.array([(a.ongoing_cost + e.r_minus_adv) / d_adv for a in spec.attacks[:-1]], float),
+        np.array([(m.ongoing_cost + e.r_minus_def) / d_def for m in spec.models], float),
+    )
 
 
 def mu_adv(spec: GameSpec, attack_index: int) -> float:
     """Break-even ASR of a real attack: below it the attack loses money."""
     _require_real_attack(spec, attack_index)
-    e = spec.economics
-    o_j = spec.attacks[attack_index].ongoing_cost
-    return (o_j + e.r_minus_adv) / _adv_denominator(spec)
+    return float(break_even_rates(spec)[0][attack_index])
 
 
 def mu_def(spec: GameSpec, model_index: int) -> float:
     """Break-even CCR of a model: below it operating the model loses money."""
     _check_model_index(spec, model_index)
-    e = spec.economics
-    o_i = spec.models[model_index].ongoing_cost
-    return (o_i + e.r_minus_def) / _def_denominator(spec)
+    return float(break_even_rates(spec)[1][model_index])
 
 
 def delta_mu_def(spec: GameSpec) -> float:
-    """Break-even gap mu_def_1 - mu_def_2 = (o_1 - o_2) / (r_plus_def + r_minus_def)."""
+    """Break-even gap mu_def_1 - mu_def_2 = (o_1 - o_2) / (r_plus_def + r_minus_def).
+
+    Reports carry this form; ``mu_def_1 - mu_def_2`` rounds differently.
+    """
     if spec.n_models != 2:
         raise DimensionError("delta_mu_def requires exactly 2 models")
+    e = spec.economics
     o1 = spec.models[0].ongoing_cost
     o2 = spec.models[1].ongoing_cost
-    return (o1 - o2) / _def_denominator(spec)
+    return (o1 - o2) / _rate_denominator(e.r_plus_def, e.r_minus_def, "def")
 
 
 def epps_tables(spec: GameSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -186,10 +192,15 @@ def payoff_matrices(spec: GameSpec) -> PayoffMatrices:
     Row i, column j holds each player's utility when model i meets action
     j; the last column is the no-attack action, where the adversary's
     utility is exactly ``-i_adv``.  Bilinearity makes mixed utilities
-    equal ``s^T U r`` for both matrices.
+    equal ``s^T U r`` for both matrices.  Raises ValueError when an entry
+    overflows the float range.
     """
     e = spec.economics
-    e_adv, e_def = epps_tables(spec)
-    u_adv = -e.i_adv + e.n * e.r_max * e_adv
-    u_adv[:, -1] = -e.i_adv  # not -i_adv + 0.0, which turns -0.0 into 0.0
-    return PayoffMatrices(u_adv=u_adv, u_def=-e.i_def + e.n * e_def)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e_adv, e_def = epps_tables(spec)
+        u_adv = -e.i_adv + e.n * e.r_max * e_adv
+        u_adv[:, -1] = -e.i_adv  # not -i_adv + 0.0, which turns -0.0 into 0.0
+        u_def = -e.i_def + e.n * e_def
+    if not (np.isfinite(u_adv).all() and np.isfinite(u_def).all()):
+        raise ValueError("utilities overflow the float range; reduce n or the rewards")
+    return PayoffMatrices(u_adv=u_adv, u_def=u_def)

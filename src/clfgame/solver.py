@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DEFAULT_EPS, GameSpec, Strategy, _frozen_array, check_attack_index
-from .payoff import PayoffMatrices, mu_def
+from .payoff import PayoffMatrices, break_even_rates
 
 DEFAULT_TOL = DEFAULT_EPS
 MAX_ENUM_ACTIONS = 12
@@ -641,8 +641,7 @@ def upper_envelope_ccr(
     n = spec.n_models
     r_max = spec.economics.r_max
     acc = spec.acc
-    mu = np.array([mu_def(spec, i) for i in range(n)])
-    intercepts = acc - mu
+    intercepts = acc - break_even_rates(spec)[1]
     slopes = spec.robustness[:, attack_index] - acc
 
     def values(rho: float) -> np.ndarray:

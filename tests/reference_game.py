@@ -6,21 +6,41 @@ per-cell region-map labelling as they were before ``clfgame`` computed
 them from one CCR table and one EPPS table.  ``tests/test_game_core.py``
 requires the array code to return bit-identical payoff matrices, pure
 payoffs and region maps, and mixed payoffs within 1e-12 relative.
+
+The 2x2 case rules below are copies of the per-player, per-case code
+that ``clfgame.analytic`` replaced with one reach rule per player and one
+case rule for both: the reachable cases, the case at a strategy, the best
+responses and the fully mixed equilibrium.  ``tests/test_case_rules.py``
+requires both to agree exactly, ties included.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from clfgame.analytic import RegionMap
+from clfgame.analytic import (
+    AdversaryCase,
+    BestResponseSet,
+    DefenderCase,
+    MixedEquilibrium2x2,
+    RegionMap,
+    _require_ordered,
+    defend_threshold,
+    delta_acc,
+    delta_ccr,
+    delta_rob,
+)
 from clfgame.core import (
+    DEFAULT_EPS,
     DimensionError,
     GameSpec,
     Strategy,
     _check_model_index,
     asr,
+    asr_mixed,
 )
 from clfgame.payoff import EppsVector, PayoffMatrices, delta_mu_def, mu_adv
+from clfgame.solver import verify_equilibrium
 
 
 def ccr(spec: GameSpec, model_index: int, attack_index: int, rho: float) -> float:
@@ -249,3 +269,116 @@ def build_region_map(
             points=tuple(points),
         )
     raise ValueError(f"unknown map kind {map_kind!r}")
+
+
+def adversary_case(spec: GameSpec, s: Strategy, eps: float = DEFAULT_EPS) -> AdversaryCase:
+    """Which regime the adversary is in against defender mix ``s``."""
+    _require_ordered(spec)
+    gap = asr_mixed(spec, s, 0) - mu_adv(spec, 0)
+    if gap < -eps:
+        return AdversaryCase.NEVER_ATTACK
+    if gap > eps:
+        return AdversaryCase.ALWAYS_ATTACK
+    return AdversaryCase.INDIFFERENT
+
+
+def adversary_preconditions(spec: GameSpec) -> frozenset[AdversaryCase]:
+    """Which adversary regimes are reachable for *some* defender mix.
+
+    ASR(s) sweeps [1 - rob_2, 1 - rob_1] as s_1 runs over [0, 1], so each
+    regime is reachable iff the break-even point sits on the right side of
+    (or inside) that interval.
+    """
+    _require_ordered(spec)
+    m = mu_adv(spec, 0)
+    rob1 = float(spec.robustness[0, 0])
+    rob2 = float(spec.robustness[1, 0])
+    out = set()
+    if 1.0 - m < rob2:
+        out.add(AdversaryCase.NEVER_ATTACK)
+    if rob1 < 1.0 - m:
+        out.add(AdversaryCase.ALWAYS_ATTACK)
+    if rob1 <= 1.0 - m <= rob2:
+        out.add(AdversaryCase.INDIFFERENT)
+    return frozenset(out)
+
+
+def defender_case(spec: GameSpec, r: Strategy, eps: float = DEFAULT_EPS) -> DefenderCase:
+    """Which regime the defender is in against adversary mix ``r``."""
+    _require_ordered(spec)
+    gap = delta_ccr(spec, r) - delta_mu_def(spec)
+    if gap < -eps:
+        return DefenderCase.ALWAYS_DEFEND
+    if gap > eps:
+        return DefenderCase.NEVER_DEFEND
+    return DefenderCase.INDIFFERENT
+
+
+def defender_preconditions(spec: GameSpec) -> frozenset[DefenderCase]:
+    """Which defender regimes are reachable for *some* adversary mix."""
+    _require_ordered(spec)
+    t = defend_threshold(spec)
+    r_max = spec.economics.r_max
+    out = set()
+    if t < r_max:
+        out.add(DefenderCase.ALWAYS_DEFEND)
+    if delta_mu_def(spec) < delta_acc(spec):
+        out.add(DefenderCase.NEVER_DEFEND)
+    if 0.0 <= t <= r_max:
+        out.add(DefenderCase.INDIFFERENT)
+    return frozenset(out)
+
+
+def best_response_adv(spec: GameSpec, s: Strategy, eps: float = DEFAULT_EPS) -> BestResponseSet:
+    """Adversary best response to defender mix ``s``: attack, idle, or any mix."""
+    case = adversary_case(spec, s, eps)
+    if case is AdversaryCase.ALWAYS_ATTACK:
+        return BestResponseSet.pure(0)
+    if case is AdversaryCase.NEVER_ATTACK:
+        return BestResponseSet.pure(spec.no_attack_index)
+    return BestResponseSet.any_mix()
+
+
+def best_response_def(spec: GameSpec, r: Strategy, eps: float = DEFAULT_EPS) -> BestResponseSet:
+    """Defender best response to adversary mix ``r``: model 1, model 2, or any mix."""
+    case = defender_case(spec, r, eps)
+    if case is DefenderCase.NEVER_DEFEND:
+        return BestResponseSet.pure(0)
+    if case is DefenderCase.ALWAYS_DEFEND:
+        return BestResponseSet.pure(1)
+    return BestResponseSet.any_mix()
+
+
+def mixed_nash_2x2(spec: GameSpec, eps: float = DEFAULT_EPS) -> MixedEquilibrium2x2 | None:
+    """The unique fully mixed equilibrium, or None when it does not exist.
+
+    Exists exactly when both indifference points are interior:
+    ``rob_1 < 1 - mu_adv < rob_2`` and ``0 < t < r_max`` for the defend
+    threshold ``t``.  Boundary equality produces no fully mixed point and
+    returns None; so does ``r_max = 0``.  The returned strategies are
+    certified against the full payoff matrices and the deviation gains
+    are reported as residuals.
+    """
+    _require_ordered(spec)
+    e = spec.economics
+    if e.r_max <= 0.0:
+        return None
+    m = mu_adv(spec, 0)
+    rob1 = float(spec.robustness[0, 0])
+    rob2 = float(spec.robustness[1, 0])
+    if not rob1 < 1.0 - m < rob2:
+        return None
+    t = defend_threshold(spec)
+    if not 0.0 < t < e.r_max:
+        return None
+    s1 = (rob2 - 1.0 + m) / delta_rob(spec)
+    r1 = t / e.r_max
+    s_star = Strategy((s1, 1.0 - s1))
+    r_star = Strategy((r1, 1.0 - r1))
+    cert = verify_equilibrium(payoff_matrices(spec), s_star, r_star, tol=eps)
+    return MixedEquilibrium2x2(
+        s_star=s_star,
+        r_star=r_star,
+        residuals=(cert.adv_gain, cert.def_gain),
+        unique=True,
+    )

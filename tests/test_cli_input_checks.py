@@ -1,5 +1,7 @@
 """Bad flags and unreadable configs exit 1 with one clear line and no report."""
 
+import json
+
 import pytest
 
 from clfgame import cli
@@ -65,3 +67,25 @@ def test_validate_reads_the_config_like_solve(tmp_path, capsys, text):
     code, out, err = solve
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {path}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["solve", "dominance"])
+def test_utilities_that_overflow_are_refused(tmp_path, capfd, command):
+    # valid on every field, but n * R_plus is far beyond the float range
+    config = {
+        "models": [{"name": f"m{i}", "acc": 0.9 - 0.1 * i} for i in range(3)],
+        "attacks": [{"name": "fgsm"}, {"name": "pgd"}],
+        "robustness": [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]],
+        "economics": {
+            "R_plus_def": 100, "R_minus_def": 0, "R_plus_adv": 100, "R_minus_adv": 0,
+            "I_def": 0, "I_adv": 0, "n": 10**308, "r_max": 0.5,
+        },
+    }
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["validate", "--spec", str(path)]) == 0
+    capfd.readouterr()
+    code = cli.main([command, "--spec", str(path)])
+    out, err = capfd.readouterr()  # file-descriptor level: LAPACK writes to fd 1 directly
+    assert (code, out) == (1, "")
+    assert err == "error: utilities overflow the float range; reduce n or the rewards\n"

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from clfgame.config import spec_from_dict
 from clfgame.core import Strategy, asr_mixed, ccr_mixed
 from clfgame.payoff import (
     EppsVector,
     PayoffMatrices,
+    break_even_rates,
     delta_mu_def,
     epps_adv,
     epps_adv_pure,
@@ -48,6 +50,48 @@ class TestBreakEven:
         spec = make_spec([0.9], [[0.1]], r_plus_adv=0.0, r_minus_adv=0.0)
         with pytest.raises(ValueError):
             mu_adv(spec, 0)
+
+    @pytest.mark.parametrize("player", ["adv", "def"])
+    def test_break_even_rates_name_the_zero_denominator(self, player):
+        spec = make_spec([0.9], [[0.1]], **{f"r_plus_{player}": 0.0, f"r_minus_{player}": 0.0})
+        message = f"r_plus_{player} \\+ r_minus_{player} must be positive"
+        with pytest.raises(ValueError, match=message):
+            break_even_rates(spec)
+
+    @pytest.mark.parametrize("integral", [False, True])
+    def test_break_even_rates_are_the_per_entry_quotients(self, rng, integral):
+        # integer JSON costs and rewards stay Python ints, beyond 2**53 included
+        def draw():
+            if integral:
+                return int(rng.choice([0, 1, 3, 7, 2**53 + 1, 10**17 + 3]))
+            return float(rng.uniform(0.0, 3.0))
+
+        for _ in range(20):
+            config = {
+                "models": [{"name": f"m{i}", "acc": 0.5, "ongoing_cost": draw()} for i in range(3)],
+                "attacks": [{"name": f"a{j}", "ongoing_cost": draw()} for j in range(2)],
+                "robustness": [[0.5, 0.5]] * 3,
+                "economics": {
+                    "R_plus_def": draw() + 1, "R_minus_def": draw(),
+                    "R_plus_adv": draw() + 1, "R_minus_adv": draw(),
+                    "I_def": 0, "I_adv": 0, "n": 1, "r_max": 0.5,
+                },
+            }
+            spec = spec_from_dict(config)
+            e = spec.economics
+            want_adv = [
+                (a.ongoing_cost + e.r_minus_adv) / (e.r_plus_adv + e.r_minus_adv)
+                for a in spec.attacks[:-1]
+            ]
+            want_def = [
+                (m.ongoing_cost + e.r_minus_def) / (e.r_plus_def + e.r_minus_def)
+                for m in spec.models
+            ]
+            got_adv, got_def = break_even_rates(spec)
+            assert [x.hex() for x in got_adv.tolist()] == [x.hex() for x in want_adv]
+            assert [x.hex() for x in got_def.tolist()] == [x.hex() for x in want_def]
+            assert [mu_adv(spec, j) for j in range(2)] == want_adv
+            assert [mu_def(spec, i) for i in range(3)] == want_def
 
 
 class TestEpps:
