@@ -10,11 +10,13 @@ violation, 3 I/O error.  No plotting here: reports carry the data.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
-import json
+import math
 import sys
-from collections.abc import Iterable, Sequence
+from itertools import repeat
+from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 
 import numpy as np
 
@@ -68,24 +70,150 @@ def _finite_or_none(x: float | None) -> float | None:
     return x if np.isfinite(x) else None
 
 
-def _csv_text(header: list[str], rows: Iterable[Sequence]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+# JSON reports are the bytes of json.dumps(report, indent=2, allow_nan=False)
+# plus a newline.  With indent set, json runs its pure-Python encoder, one
+# generator step per token, so the writer below walks the report the same
+# way but writes the plot data by column: a list of floats is one join over
+# float.__repr__, and a list of flat records one join per record over
+# columns that encode each distinct value once.
+_INDENT = "  "
+
+
+def _json_chunks(obj) -> list[str]:
+    """The text of ``json.dumps(obj, indent=2, allow_nan=False) + "\\n"``, as chunks.
+
+    Raises json's own ValueError for a NaN or an infinity and json's own
+    TypeError for a type json cannot encode.
+    """
+    out: list[str] = []
+    _encode(obj, 0, out)
+    out.append("\n")
+    return out
+
+
+def _scalar_text(obj) -> str:
+    # json's order of tests: bools are ints, and int or float subclasses encode as their base
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
+        return float.__repr__(obj)
+    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+
+def _encode(obj, level: int, out: list[str]) -> None:
+    if isinstance(obj, (list, tuple)):
+        _encode_list(obj, level, out)
+    elif isinstance(obj, dict):
+        _encode_dict(obj, level, out)
+    else:
+        out.append(_scalar_text(obj))
+
+
+def _encode_dict(dct: dict, level: int, out: list[str]) -> None:
+    if not dct:
+        out.append("{}")
+        return
+    inner = "\n" + _INDENT * (level + 1)
+    sep = "{" + inner
+    for key, value in dct.items():
+        if not isinstance(key, (str, int, float)) and key is not None:
+            raise TypeError(
+                f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
+            )
+        out.append(sep + _quote(key if isinstance(key, str) else _scalar_text(key)) + ": ")
+        sep = "," + inner
+        _encode(value, level + 1, out)
+    out.append("\n" + _INDENT * level + "}")
+
+
+def _encode_list(lst: list | tuple, level: int, out: list[str]) -> None:
+    if not lst:
+        out.append("[]")
+        return
+    inner = "\n" + _INDENT * (level + 1)
+    close = "\n" + _INDENT * level + "]"
+    items = None
+    if all(map(isinstance, lst, repeat(float))) and all(map(math.isfinite, lst)):
+        items = map(float.__repr__, lst)
+    elif type(lst[0]) is dict:
+        items = _records(lst, level + 1)
+    if items is not None:
+        out += ("[" + inner, ("," + inner).join(items), close)
+        return
+    sep = "[" + inner
+    for value in lst:
+        out.append(sep)
+        sep = "," + inner
+        _encode(value, level + 1, out)
+    out.append(close)
+
+
+def _records(lst: list | tuple, level: int):
+    """Encoded items of dicts that share one str key order and hold float or str columns.
+
+    Each column carries its key, so a record is the join of its fields.
+    Returns None for any other list, or one holding a NaN: the item-by-item
+    walk then raises json's error at the first bad value in document order.
+    """
+    keys = tuple(lst[0])
+    if (
+        not keys
+        or not all(map(isinstance, keys, repeat(str)))
+        or set(map(type, lst)) != {dict}
+        or set(map(tuple, lst)) != {keys}
+    ):
+        return None
+    inner = "\n" + _INDENT * (level + 1)
+    columns = []
+    for n, key in enumerate(keys):
+        prefix = ("," if n else "{") + inner + _quote(key) + ": "
+        column = _column(list(map(itemgetter(key), lst)), prefix)
+        if column is None:
+            return None
+        columns.append(column)
+    return map("".join, zip(*columns, repeat("\n" + _INDENT * level + "}")))
+
+
+def _column(values: list, prefix: str):
+    """``prefix`` plus the JSON text of each value of an all-float or all-str column, or None.
+
+    Each distinct object is encoded once: a region map's grid values are
+    shared objects, and -0.0 and 0.0, equal but distinct, keep their own text.
+    """
+    distinct = dict(zip(map(id, values), values))
+    kinds = set(map(type, distinct.values()))
+    if kinds == {float} and all(map(math.isfinite, distinct.values())):
+        encode = float.__repr__
+    elif kinds == {str}:
+        encode = _quote
+    else:
+        return None
+    text = dict(zip(distinct, map(prefix.__add__, map(encode, distinct.values()))))
+    return map(text.__getitem__, map(id, values))
 
 
 def _emit(report: dict, args: argparse.Namespace, csv_table=None) -> None:
-    if args.format == "csv":
-        text = _csv_text(*csv_table)
-    else:
-        text = json.dumps(report, indent=2, allow_nan=False) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    # JSON is encoded whole before the destination is opened, so a report
+    # that strict JSON cannot hold leaves no file and an empty stdout
+    chunks = None if args.format == "csv" else _json_chunks(report)
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        if chunks is None:
+            header, rows = csv_table
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+        else:
+            fh.writelines(chunks)
 
 
 def _parse_probs(text: str) -> Strategy:

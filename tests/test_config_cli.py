@@ -1,5 +1,6 @@
 import copy
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -13,6 +14,7 @@ import pytest
 from jsonschema.validators import validator_for
 
 from clfgame import cli
+from clfgame.analytic import build_region_map
 from clfgame.config import (
     CONFIG_SCHEMA,
     ConfigError,
@@ -21,6 +23,7 @@ from clfgame.config import (
     load_spec,
     spec_from_dict,
 )
+from clfgame.core import ccr_table
 
 from conftest import make_spec
 from report_schemas import REPORT_SCHEMAS, validate_report
@@ -814,14 +817,37 @@ def test_reports_with_non_finite_numbers_are_not_written(tmp_path, capsys, monke
     # with the flag check out of the way a NaN reaches the report, which
     # strict JSON cannot hold
     monkeypatch.setattr(cli, "_finite_float", float)
+
+    # NaNs in the float columns the plot commands write by column: one CCR
+    # value, and the y of one region-map cell
+    def ccr_table_with_nan(spec, rho):
+        table = ccr_table(spec, rho)
+        table[len(rho) // 2, 0, 0] = float("nan")
+        return table
+
+    def region_map_with_nan(*args, **kwargs):
+        rm = build_region_map(*args, **kwargs)
+        cells = list(rm.cells)
+        x, _, label = cells[len(cells) // 2]
+        cells[len(cells) // 2] = (x, float("nan"), label)
+        return dataclasses.replace(rm, cells=tuple(cells))
+
+    monkeypatch.setattr(cli, "ccr_table", ccr_table_with_nan)
+    monkeypatch.setattr(cli, "build_region_map", region_map_with_nan)
     path = write_config(tmp_path, GOOD_CONFIG)
     out_path = tmp_path / "report.json"
-    for extra in ((), ("--out", str(out_path))):
-        code, out, err = run_cli(capsys, "solve", "--spec", path, "--eps", "nan", *extra)
-        assert code == 1
-        assert out == ""
-        assert "not JSON compliant" in err
-    assert not out_path.exists()
+    commands = [
+        ("solve", "--eps", "nan"),
+        ("ccr-curve", "--grid", "11"),
+        ("region-map", "--map", "adv", "--grid", "11"),
+    ]
+    for command in commands:
+        for extra in ((), ("--out", str(out_path))):
+            code, out, err = run_cli(capsys, command[0], "--spec", path, *command[1:], *extra)
+            assert code == 1
+            assert out == ""
+            assert "not JSON compliant" in err
+            assert not out_path.exists()
 
 
 def test_simulate_rejects_n_beyond_float_range(tmp_path, capsys):
