@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import json
 import math
 import sys
 from itertools import repeat
@@ -71,101 +72,55 @@ def _finite_or_none(x: float | None) -> float | None:
 
 
 # JSON reports are the bytes of json.dumps(report, indent=2, allow_nan=False)
-# plus a newline.  With indent set, json runs its pure-Python encoder, one
-# generator step per token, so the writer below walks the report the same
-# way but writes the plot data by column: a list of floats is one join over
+# plus a newline.  The writer walks plain dicts with str keys and writes the
+# plot data by column: a list of finite floats is one join over
 # float.__repr__, and a list of flat records one join per record over
-# columns that encode each distinct value once.
+# columns that encode each distinct object once.  Every other value goes to
+# json itself, re-indented to its depth, so json's rules and json's errors
+# hold for it.
 _INDENT = "  "
+_ENCODER = json.JSONEncoder(indent=2, allow_nan=False)
 
 
 def _json_chunks(obj) -> list[str]:
-    """The text of ``json.dumps(obj, indent=2, allow_nan=False) + "\\n"``, as chunks.
-
-    Raises json's own ValueError for a NaN or an infinity and json's own
-    TypeError for a type json cannot encode.
-    """
+    """The text of ``json.dumps(obj, indent=2, allow_nan=False) + "\\n"``, as chunks."""
     out: list[str] = []
     _encode(obj, 0, out)
     out.append("\n")
     return out
 
 
-def _scalar_text(obj) -> str:
-    # json's order of tests: bools are ints, and int or float subclasses encode as their base
-    if isinstance(obj, str):
-        return _quote(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
-        return float.__repr__(obj)
-    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
-
-
-def _encode(obj, level: int, out: list[str]) -> None:
-    if isinstance(obj, (list, tuple)):
-        _encode_list(obj, level, out)
-    elif isinstance(obj, dict):
-        _encode_dict(obj, level, out)
+def _encode(obj, depth: int, out: list[str]) -> None:
+    if type(obj) is dict and obj and all(map(isinstance, obj, repeat(str))):
+        inner = "\n" + _INDENT * (depth + 1)
+        sep = "{" + inner
+        for key, value in obj.items():
+            out.append(sep + _quote(key) + ": ")
+            sep = "," + inner
+            _encode(value, depth + 1, out)
+        out.append("\n" + _INDENT * depth + "}")
+        return
+    items = _columns(obj, depth + 1) if type(obj) is list and obj else None
+    if items is None:
+        # a JSON string never holds a raw newline, so this re-indents exactly
+        out.append(_ENCODER.encode(obj).replace("\n", "\n" + _INDENT * depth))
     else:
-        out.append(_scalar_text(obj))
+        inner = "\n" + _INDENT * (depth + 1)
+        out += ("[" + inner, ("," + inner).join(items), "\n" + _INDENT * depth + "]")
 
 
-def _encode_dict(dct: dict, level: int, out: list[str]) -> None:
-    if not dct:
-        out.append("{}")
-        return
-    inner = "\n" + _INDENT * (level + 1)
-    sep = "{" + inner
-    for key, value in dct.items():
-        if not isinstance(key, (str, int, float)) and key is not None:
-            raise TypeError(
-                f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
-            )
-        out.append(sep + _quote(key if isinstance(key, str) else _scalar_text(key)) + ": ")
-        sep = "," + inner
-        _encode(value, level + 1, out)
-    out.append("\n" + _INDENT * level + "}")
+def _columns(lst: list, depth: int):
+    """Encoded items of a list of finite floats or of flat records, or None.
 
-
-def _encode_list(lst: list | tuple, level: int, out: list[str]) -> None:
-    if not lst:
-        out.append("[]")
-        return
-    inner = "\n" + _INDENT * (level + 1)
-    close = "\n" + _INDENT * level + "]"
-    items = None
-    if all(map(isinstance, lst, repeat(float))) and all(map(math.isfinite, lst)):
-        items = map(float.__repr__, lst)
-    elif type(lst[0]) is dict:
-        items = _records(lst, level + 1)
-    if items is not None:
-        out += ("[" + inner, ("," + inner).join(items), close)
-        return
-    sep = "[" + inner
-    for value in lst:
-        out.append(sep)
-        sep = "," + inner
-        _encode(value, level + 1, out)
-    out.append(close)
-
-
-def _records(lst: list | tuple, level: int):
-    """Encoded items of dicts that share one str key order and hold float or str columns.
-
-    Each column carries its key, so a record is the join of its fields.
-    Returns None for any other list, or one holding a NaN: the item-by-item
-    walk then raises json's error at the first bad value in document order.
+    Records are plain dicts that share one str key order and hold all-float
+    (finite) or all-str columns.  Each column carries its key, so a record
+    is the join of its fields, and encodes each distinct object once: a
+    region map's grid values are shared objects, and -0.0 and 0.0, equal
+    but distinct, keep their own text.
     """
-    keys = tuple(lst[0])
+    if all(map(isinstance, lst, repeat(float))):
+        return map(float.__repr__, lst) if all(map(math.isfinite, lst)) else None
+    keys = tuple(lst[0]) if type(lst[0]) is dict else ()
     if (
         not keys
         or not all(map(isinstance, keys, repeat(str)))
@@ -173,33 +128,22 @@ def _records(lst: list | tuple, level: int):
         or set(map(tuple, lst)) != {keys}
     ):
         return None
-    inner = "\n" + _INDENT * (level + 1)
+    inner = "\n" + _INDENT * (depth + 1)
     columns = []
     for n, key in enumerate(keys):
-        prefix = ("," if n else "{") + inner + _quote(key) + ": "
-        column = _column(list(map(itemgetter(key), lst)), prefix)
-        if column is None:
+        values = list(map(itemgetter(key), lst))
+        distinct = dict(zip(map(id, values), values))
+        kinds = set(map(type, distinct.values()))
+        if kinds == {float} and all(map(math.isfinite, distinct.values())):
+            encode = float.__repr__
+        elif kinds == {str}:
+            encode = _quote
+        else:
             return None
-        columns.append(column)
-    return map("".join, zip(*columns, repeat("\n" + _INDENT * level + "}")))
-
-
-def _column(values: list, prefix: str):
-    """``prefix`` plus the JSON text of each value of an all-float or all-str column, or None.
-
-    Each distinct object is encoded once: a region map's grid values are
-    shared objects, and -0.0 and 0.0, equal but distinct, keep their own text.
-    """
-    distinct = dict(zip(map(id, values), values))
-    kinds = set(map(type, distinct.values()))
-    if kinds == {float} and all(map(math.isfinite, distinct.values())):
-        encode = float.__repr__
-    elif kinds == {str}:
-        encode = _quote
-    else:
-        return None
-    text = dict(zip(distinct, map(prefix.__add__, map(encode, distinct.values()))))
-    return map(text.__getitem__, map(id, values))
+        prefix = ("," if n else "{") + inner + _quote(key) + ": "
+        text = dict(zip(distinct, map(prefix.__add__, map(encode, distinct.values()))))
+        columns.append(map(text.__getitem__, map(id, values)))
+    return map("".join, zip(*columns, repeat("\n" + _INDENT * depth + "}")))
 
 
 def _emit(report: dict, args: argparse.Namespace, csv_table=None) -> None:
@@ -295,8 +239,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         eq = mixed_nash_2x2(spec, eps=args.eps)
         if eq is not None:
             report["mixed_equilibrium"] = {
-                "s": list(map(float, eq.s_star.probs)),
-                "r": list(map(float, eq.r_star.probs)),
+                "s": eq.s_star.probs.tolist(),
+                "r": eq.r_star.probs.tolist(),
                 "residual_adv": eq.residuals[0],
                 "residual_def": eq.residuals[1],
                 "unique": eq.unique,
@@ -311,8 +255,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         )
         report["equilibria"] = [
             {
-                "s": list(map(float, eq.s.probs)),
-                "r": list(map(float, eq.r.probs)),
+                "s": eq.s.probs.tolist(),
+                "r": eq.r.probs.tolist(),
                 "row_support": list(eq.row_support),
                 "col_support": list(eq.col_support),
                 "max_deviation_gain": eq.max_deviation_gain,
@@ -437,7 +381,7 @@ def cmd_dominance(args: argparse.Namespace) -> int:
                     "dominated_by_name": None
                     if a.dominated_by is None
                     else names[a.dominated_by],
-                    "mixture": None if a.mixture is None else [float(v) for v in a.mixture],
+                    "mixture": None if a.mixture is None else a.mixture.tolist(),
                     "margin": _finite_or_none(a.margin),
                 }
             )
@@ -501,8 +445,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "n": cfg.n,
         "trials": cfg.trials,
         "r_max": cfg.r_max,
-        "s": [float(v) for v in s.probs],
-        "r": [float(v) for v in r.probs],
+        "s": s.probs.tolist(),
+        "r": r.probs.tolist(),
         "mean_utility_adv": res.mean_utility_adv,
         "mean_utility_def": res.mean_utility_def,
         "std_error_adv": res.std_error_adv,
@@ -511,9 +455,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "analytic_utility_def": conv.analytic_def,
         "convergence_passed": conv.passed,
         "per_trial": {
-            "utility_adv": [float(v) for v in res.utilities_adv],
-            "utility_def": [float(v) for v in res.utilities_def],
-            "model_played": [int(v) for v in res.models_played],
+            "utility_adv": res.utilities_adv.tolist(),
+            "utility_def": res.utilities_def.tolist(),
+            "model_played": res.models_played.tolist(),
         },
     }
     _emit(report, args)

@@ -150,7 +150,7 @@ def read_config(path: str | Path) -> dict:
     top-level value that is not an object, and lets OSError through for
     unreadable paths.
     """
-    text = Path(path).read_text()
+    text = Path(path).read_text(encoding="utf-8")
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as err:

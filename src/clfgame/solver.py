@@ -35,6 +35,7 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .core import DEFAULT_EPS, GameSpec, Strategy, _frozen_array, check_attack_index
 from .payoff import PayoffMatrices, break_even_rates
@@ -197,8 +198,8 @@ def _stacked_indifference(
     accepts (``solved``) their solutions ``(B, k+1)``, bit-identical to
     solving each system on its own; other rows of ``sol`` are NaN.
 
-    A square chunk is factorised once: one stacked solve, and only when
-    some system in it is singular a second pass over the others.
+    A square chunk is factorised once, in one stacked solve that leaves
+    NaN rows for its singular systems.
     """
     k, l = row_sets.shape[1], col_sets.shape[1]
     if pairs is None:
@@ -217,14 +218,13 @@ def _stacked_indifference(
         if k == l:
             rhs = np.zeros((b, k + 1, 1))
             rhs[:, k] = 1.0
-            try:
-                sol = np.linalg.solve(lhs, rhs)[..., 0]
-                solved[:] = True
-            except np.linalg.LinAlgError:
-                # sign 0 is getrf's exact zero pivot, the test on which
-                # np.linalg.solve raises for a singular system
-                solved = np.linalg.slogdet(lhs)[0] != 0
-                sol[solved] = np.linalg.solve(lhs[solved], rhs[solved])[..., 0]
+            # np.linalg.solve is this gufunc inside an errstate that raises
+            # when any system has an exact zero pivot in getrf; called
+            # directly it writes NaN for just those systems, so the chunk
+            # is factorised once and the others keep their bytes
+            with np.errstate(all="ignore"):
+                sol = _umath_linalg.solve(lhs, rhs, signature="dd->d")[..., 0]
+            solved = ~np.isnan(sol).any(axis=1)
         yield rows, lhs, sol, solved
 
 

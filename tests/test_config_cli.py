@@ -512,6 +512,29 @@ def test_console_script_is_installed(tmp_path):
     assert json.loads(proc.stdout)["ok"] is True
 
 
+def test_config_files_are_read_as_utf8_under_any_locale(tmp_path):
+    # RFC 8259 section 8.1: exchanged JSON is UTF-8, whatever the locale says
+    path = tmp_path / "game.json"
+    models = [{"name": "modèle", "acc": 0.952}, GOOD_CONFIG["models"][1]]
+    config = {**GOOD_CONFIG, "models": models}
+    path.write_text(json.dumps(config, ensure_ascii=False), encoding="utf-8")
+    src_dir = Path(cli.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "PYTHONIO"))}
+    env.update(LANG="C", LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src_dir), env.get("PYTHONPATH")]))
+    for command in ("validate", "solve"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "clfgame.cli", command, "--spec", str(path)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == json.dumps(json.loads(proc.stdout), indent=2, allow_nan=False) + "\n"
+    assert json.loads(proc.stdout)["models"][0] == "modèle"
+
+
 @pytest.mark.skipif(
     shutil.which("clfgame") is None, reason="clfgame console script not installed"
 )

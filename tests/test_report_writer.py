@@ -1,16 +1,19 @@
 """The JSON report writer against ``json.dumps(indent=2, allow_nan=False)``.
 
-``clfgame.cli._json_chunks`` writes plot data by column: a list of floats
-in one join, and a list of flat records from columns encoded once per
-distinct object.  Every report must still come out as the bytes of
+``clfgame.cli._json_chunks`` writes plot data by hand and leaves the rest
+to json: it walks plain dicts with str keys, writes a list of finite
+floats in one join and a list of flat records from columns encoded once
+per distinct object, and hands every other value to a ``json.JSONEncoder``
+and re-indents its text.  Every report must still come out as the bytes of
 ``json.dumps(report, indent=2, allow_nan=False) + "\\n"``, and a NaN or an
 infinity anywhere must raise json's own ValueError.  The random reports
 mix the shapes the fast paths take with the ones they must leave alone:
 records in another key order or with a key missing, columns of mixed
-types, ``-0.0`` beside ``0.0``, bools beside ints, numpy floats, and
-non-ASCII and control characters in keys and values.
+types, ``-0.0`` beside ``0.0``, bools beside ints, numpy floats, dict
+subclasses, and non-ASCII and control characters in keys and values.
 """
 
+import collections
 import json
 import math
 
@@ -72,6 +75,7 @@ reports = st.recursive(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
         st.dictionaries(keys, children, max_size=4),
+        st.dictionaries(keys, children, max_size=4).map(collections.OrderedDict),
     ),
     max_leaves=40,
 )

@@ -7,6 +7,7 @@ every system on its own.
 """
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -146,22 +147,43 @@ def test_seven_by_seven_matches_reference(family, monkeypatch):
 
 def test_chunk_mixing_singular_and_nonsingular_systems_matches_reference(monkeypatch):
     # tied columns make every square system holding both of them singular;
-    # a chunk of 5 systems then mixes singular and nonsingular ones, so the
-    # stacked solve raises and the chunk is solved again without them
-    signs = []
-    slogdet = np.linalg.slogdet
+    # a chunk of 5 systems then mixes singular and nonsingular ones
+    masks = []
+    stacked = solver._stacked_indifference
 
-    def recording_slogdet(a):
-        got = slogdet(a)
-        signs.append(got[0])
-        return got
+    def recording_stacked(*args):
+        for rows, lhs, sol, solved in stacked(*args):
+            if lhs.shape[1] == lhs.shape[2]:
+                masks.append(solved.copy())
+            yield rows, lhs, sol, solved
 
     monkeypatch.setattr(solver, "_STACK_CHUNK", 5)
-    monkeypatch.setattr(np.linalg, "slogdet", recording_slogdet)
+    monkeypatch.setattr(solver, "_stacked_indifference", recording_stacked)
     game = random_game(np.random.default_rng(20260821), "tied_columns", 4, 4)
     assert_same_equilibria(support_enumeration(game), ref.support_enumeration(game))
     assert_same_dominance(game, monkeypatch)
-    assert any((s == 0).any() and (s != 0).any() for s in signs)
+    assert any(mask.any() and not mask.all() for mask in masks)
+
+
+@pytest.mark.parametrize("family", ["tied_columns", "zero_budget", "integer"])
+def test_stacked_solve_flags_exactly_the_singular_systems(family):
+    # the one stacked solve must flag the systems on which np.linalg.solve
+    # raises (getrf's exact zero pivot, slogdet's sign 0) and give every
+    # other system the bytes np.linalg.solve gives it on its own
+    a = random_game(np.random.default_rng([20260822, FAMILIES.index(family)]), family, 5, 5).u_def
+    seen_singular = seen_regular = False
+    for k in range(1, 5):
+        sets = np.array(list(itertools.combinations(range(5), k)))
+        for _, lhs, sol, solved in solver._stacked_indifference(a, sets, sets):
+            assert solved.tolist() == (np.linalg.slogdet(lhs)[0] != 0).tolist()
+            rhs = np.zeros(k + 1)
+            rhs[k] = 1.0
+            for p in np.flatnonzero(solved):
+                assert sol[p].tobytes() == np.linalg.solve(lhs[p], rhs).tobytes()
+            assert np.isnan(sol[~solved]).all()
+            seen_singular |= not solved.all()
+            seen_regular |= solved.any()
+    assert seen_regular and seen_singular
 
 
 def test_zero_budget_game_reaches_the_per_pair_path_once_per_equilibrium(monkeypatch):
