@@ -25,7 +25,6 @@ Everything here is exact arithmetic on the inputs; no iteration.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -286,14 +285,17 @@ def ccr_intersection(spec: GameSpec, model_a: int, model_b: int, attack_index: i
     return None
 
 
-# Case labels of the region maps; cells hold indices into these tuples.
+# Case labels of the region maps; a map's codes are indices into these tuples.
 ADV_CASE_LABELS = ("invalid", "Case 1", "Case 2", "Case 3 (and 1&2) possible")
 DEF_CASE_LABELS = ("invalid", "Case A", "Case B", "Case C (and A&B) possible")
 
 
 @dataclass(frozen=True, eq=False)
 class RegionMap:
-    """Rasterised case labels over a 2-d parameter plane, plus overlay points."""
+    """Rasterised case labels over a 2-d parameter plane, plus overlay points.
+
+    The cell at ``(xs[i], ys[j])`` holds ``labels[codes[i, j]]``.
+    """
 
     map_kind: str  # "adv" | "def"
     x_axis: str
@@ -301,14 +303,15 @@ class RegionMap:
     params: dict
     xs: np.ndarray
     ys: np.ndarray
-    cells: tuple[tuple[float, float, str], ...]
+    labels: tuple[str, str, str, str]
+    codes: np.ndarray  # uint8, shape (grid, grid)
     points: tuple[tuple[str, float, float, str], ...]
 
 
 def _region_codes(invalid, reach) -> np.ndarray:
     """Case-label indices from reach flags: at if reachable, else the one side reached."""
     _, above, at = reach
-    return np.select([invalid, at, above], [0, 3, 2], default=1)
+    return np.select([invalid, at, above], [0, 3, 2], default=1).astype(np.uint8)
 
 
 def _adversary_codes(rob_2: np.ndarray, rob_1: np.ndarray, mu_adv: float) -> np.ndarray:
@@ -369,13 +372,8 @@ def build_region_map(
     else:
         raise ValueError(f"unknown map kind {map_kind!r}")
 
-    # cells run over x, then y; each grid value is one float object shared by its cells
-    cell_codes = codes(xs[:, None], ys[None, :], **params).ravel().tolist()
-    cells = tuple(
-        (x, y, labels[c])
-        for (x, y), c in zip(itertools.product(xs.tolist(), ys.tolist()), cell_codes)
-    )
+    cell_codes = codes(xs[:, None], ys[None, :], **params)
     names = [f"{spec.models[0].name}_vs_{spec.models[k].name}" for k in range(1, spec.n_models)]
     point_labels = [labels[c] for c in codes(point_xs, point_ys, **params).tolist()]
     points = tuple(zip(names, point_xs.tolist(), point_ys.tolist(), point_labels))
-    return RegionMap(map_kind, *axes, params, xs, ys, cells, points)
+    return RegionMap(map_kind, *axes, params, xs, ys, labels, cell_codes, points)

@@ -12,12 +12,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import io
 import json
 import math
 import sys
+from dataclasses import dataclass
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
-from operator import itemgetter
 
 import numpy as np
 
@@ -72,92 +73,102 @@ def _finite_or_none(x: float | None) -> float | None:
 
 
 # JSON reports are the bytes of json.dumps(report, indent=2, allow_nan=False)
-# plus a newline.  The writer walks plain dicts with str keys and writes the
-# plot data by column: a list of finite floats is one join over
-# float.__repr__, and a list of flat records one join per record over
-# columns that encode each distinct object once.  Every other value goes to
-# json itself, re-indented to its depth, so json's rules and json's errors
-# hold for it.
+# plus a newline.  The writer writes a long list of finite floats or strs as
+# one join, and a _Table as one join per record over columns that encode each
+# distinct value once.  It walks the str-keyed plain dicts that hold such data
+# and hands every other value to json, one call per value, re-indented to its
+# depth, so json's rules and errors hold.  A report without plot data is one
+# json call: a short list costs json less than the walk around it.
 _INDENT = "  "
 _ENCODER = json.JSONEncoder(indent=2, allow_nan=False)
+_COLUMN_MIN = 32
+
+
+@dataclass(frozen=True)
+class _Table:
+    """Records by column: each column's distinct values and, per record, an
+    index into them.  Holds a record or more; CSV needs two columns or more."""
+
+    keys: tuple[str, ...]
+    values: list[list]
+    index: list[list[int]]
 
 
 def _json_chunks(obj) -> list[str]:
     """The text of ``json.dumps(obj, indent=2, allow_nan=False) + "\\n"``, as chunks."""
-    out: list[str] = []
-    _encode(obj, 0, out)
-    out.append("\n")
-    return out
+    return (_chunks(obj, 0) or [_ENCODER.encode(obj)]) + ["\n"]
 
 
-def _encode(obj, depth: int, out: list[str]) -> None:
-    if type(obj) is dict and obj and all(map(isinstance, obj, repeat(str))):
-        inner = "\n" + _INDENT * (depth + 1)
-        sep = "{" + inner
-        for key, value in obj.items():
-            out.append(sep + _quote(key) + ": ")
-            sep = "," + inner
-            _encode(value, depth + 1, out)
-        out.append("\n" + _INDENT * depth + "}")
-        return
-    items = _columns(obj, depth + 1) if type(obj) is list and obj else None
-    if items is None:
-        # a JSON string never holds a raw newline, so this re-indents exactly
-        out.append(_ENCODER.encode(obj).replace("\n", "\n" + _INDENT * depth))
-    else:
-        inner = "\n" + _INDENT * (depth + 1)
-        out += ("[" + inner, ("," + inner).join(items), "\n" + _INDENT * depth + "]")
-
-
-def _columns(lst: list, depth: int):
-    """Encoded items of a list of finite floats or of flat records, or None.
-
-    Records are plain dicts that share one str key order and hold all-float
-    (finite) or all-str columns.  Each column carries its key, so a record
-    is the join of its fields, and encodes each distinct object once: a
-    region map's grid values are shared objects, and -0.0 and 0.0, equal
-    but distinct, keep their own text.
-    """
-    if all(map(isinstance, lst, repeat(float))):
-        return map(float.__repr__, lst) if all(map(math.isfinite, lst)) else None
-    keys = tuple(lst[0]) if type(lst[0]) is dict else ()
-    if (
-        not keys
-        or not all(map(isinstance, keys, repeat(str)))
-        or set(map(type, lst)) != {dict}
-        or set(map(tuple, lst)) != {keys}
-    ):
-        return None
-    inner = "\n" + _INDENT * (depth + 1)
-    columns = []
-    for n, key in enumerate(keys):
-        values = list(map(itemgetter(key), lst))
-        distinct = dict(zip(map(id, values), values))
-        kinds = set(map(type, distinct.values()))
-        if kinds == {float} and all(map(math.isfinite, distinct.values())):
-            encode = float.__repr__
-        elif kinds == {str}:
-            encode = _quote
-        else:
+def _chunks(obj, depth: int) -> list[str] | None:
+    """The text of obj at indent depth, or None where json writes obj whole."""
+    kind = type(obj)
+    if kind is dict:
+        chunks = [_chunks(value, depth + 1) for value in obj.values()]
+        if chunks.count(None) == len(chunks) or not all(map(isinstance, obj, repeat(str))):
             return None
-        prefix = ("," if n else "{") + inner + _quote(key) + ": "
-        text = dict(zip(distinct, map(prefix.__add__, map(encode, distinct.values()))))
-        columns.append(map(text.__getitem__, map(id, values)))
-    return map("".join, zip(*columns, repeat("\n" + _INDENT * depth + "}")))
+        inner, outer = "\n" + _INDENT * (depth + 1), "\n" + _INDENT * depth
+        out, sep = [], "{"
+        for (key, value), value_chunks in zip(obj.items(), chunks):
+            out.append(sep + inner + _quote(key) + ": ")
+            # a JSON string never holds a raw newline, so this re-indents exactly
+            out += value_chunks or [_ENCODER.encode(value).replace("\n", inner)]
+            sep = ","
+        return out + [outer + "}"]
+    items = _texts(obj) if kind is list and len(obj) >= _COLUMN_MIN else None
+    if items is None and kind is not _Table:
+        return None
+    inner, outer = "\n" + _INDENT * (depth + 1), "\n" + _INDENT * depth
+    if kind is _Table:
+        # a table's values are all encoded, used or not
+        field = inner + _INDENT
+        texts = [
+            _texts(values) or [_ENCODER.encode(v).replace("\n", field) for v in values]
+            for values in obj.values
+        ]
+        prefixes = [("," if n else "{") + field + _quote(key) + ": " for n, key in enumerate(obj.keys)]
+        items = _records(obj, texts, prefixes, inner + "}")
+    return ["[" + inner, ("," + inner).join(items), outer + "]"]
+
+
+def _texts(values: list):
+    """The JSON texts of finite floats or of strs, else None."""
+    kinds = set(map(type, values))
+    if kinds == {float} and all(map(math.isfinite, values)):
+        return map(float.__repr__, values)
+    return map(_quote, values) if kinds == {str} else None
+
+
+def _records(table: _Table, texts, prefixes: list[str], close: str) -> map:
+    """Each record of table as the join of its columns' prefixed texts, then close."""
+    parts = [list(map(prefix.__add__, column)) for prefix, column in zip(prefixes, texts)]
+    picked = map(map, [part.__getitem__ for part in parts], table.index)
+    return map("".join, zip(*picked, repeat(close)))
+
+
+def _csv_field(value) -> str:
+    """The text csv.writer gives value as one field of a row of two or more."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((value, None))
+    return buf.getvalue()[:-2]
 
 
 def _emit(report: dict, args: argparse.Namespace, csv_table=None) -> None:
     # JSON is encoded whole before the destination is opened, so a report
-    # that strict JSON cannot hold leaves no file and an empty stdout
+    # that strict JSON cannot hold leaves no file and an empty stdout.  CSV
+    # is a _Table, or a header and lazy rows for csv.writer.
     chunks = None if args.format == "csv" else _json_chunks(report)
     with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
-        if chunks is None:
+        if chunks is not None:
+            fh.writelines(chunks)
+        elif type(csv_table) is _Table:
+            csv.writer(fh, lineterminator="\n").writerow(csv_table.keys)
+            texts = [map(_csv_field, values) for values in csv_table.values]
+            fh.writelines(_records(csv_table, texts, [""] + [","] * (len(texts) - 1), "\n"))
+        else:
             header, rows = csv_table
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
             writer.writerows(rows)
-        else:
-            fh.writelines(chunks)
 
 
 def _parse_probs(text: str) -> Strategy:
@@ -347,6 +358,7 @@ def cmd_region_map(args: argparse.Namespace) -> int:
         d_mu=args.delta_mu_def,
         r_max=args.r_max,
     )
+    steps = np.arange(args.grid)
     report = {
         "command": "region_map",
         "map": rm.map_kind,
@@ -354,13 +366,22 @@ def cmd_region_map(args: argparse.Namespace) -> int:
         "y_axis": rm.y_axis,
         "params": rm.params,
         "grid": args.grid,
-        "cells": [{"x": x, "y": y, "case_label": lbl} for x, y, lbl in rm.cells],
+        # x is xs[i] and y is ys[j] at cell (i, j), row by row over i
+        "cells": _Table(
+            ("x", "y", "case_label"),
+            [rm.xs.tolist(), rm.ys.tolist(), list(rm.labels)],
+            [
+                np.repeat(steps, args.grid).tolist(),
+                np.tile(steps, args.grid).tolist(),
+                rm.codes.ravel().tolist(),
+            ],
+        ),
         "points": [
             {"name": name, "x": x, "y": y, "case_label": lbl}
             for name, x, y, lbl in rm.points
         ],
     }
-    _emit(report, args, csv_table=(["x", "y", "case_label"], rm.cells))
+    _emit(report, args, csv_table=report["cells"])
     return EXIT_OK
 
 

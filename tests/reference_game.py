@@ -16,6 +16,8 @@ requires both to agree exactly, ties included.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from clfgame.analytic import (
@@ -23,7 +25,6 @@ from clfgame.analytic import (
     BestResponseSet,
     DefenderCase,
     MixedEquilibrium2x2,
-    RegionMap,
     _require_ordered,
     defend_threshold,
     delta_acc,
@@ -41,6 +42,20 @@ from clfgame.core import (
 )
 from clfgame.payoff import EppsVector, PayoffMatrices, delta_mu_def, mu_adv
 from clfgame.solver import verify_equilibrium
+
+
+@dataclass(frozen=True, eq=False)
+class RegionMap:
+    """A region map as the per-cell code built it: one (x, y, label) tuple per cell."""
+
+    map_kind: str
+    x_axis: str
+    y_axis: str
+    params: dict
+    xs: np.ndarray
+    ys: np.ndarray
+    cells: tuple[tuple[float, float, str], ...]
+    points: tuple[tuple[str, float, float, str], ...]
 
 
 def ccr(spec: GameSpec, model_index: int, attack_index: int, rho: float) -> float:

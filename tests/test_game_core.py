@@ -9,6 +9,7 @@ bit for bit; mixed payoffs, now bilinear reads of the tables, within
 """
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -142,9 +143,18 @@ def test_region_maps_match_the_per_cell_labels(config, map_kind, overrides):
     assert (got.map_kind, got.x_axis, got.y_axis) == (want.map_kind, want.x_axis, want.y_axis)
     assert got.params == want.params
     assert got.xs.tobytes() == want.xs.tobytes() and got.ys.tobytes() == want.ys.tobytes()
-    # repr tells -0.0 from 0.0 and catches a float turned into a numpy scalar
-    assert [tuple(map(repr, c)) for c in got.cells] == [tuple(map(repr, c)) for c in want.cells]
+    # the cells that the codes stand for, row by row over x as the reference
+    # lists them; repr tells -0.0 from 0.0 and catches a numpy scalar
+    cells = [
+        (x, y, got.labels[code])
+        for (x, y), code in zip(
+            itertools.product(got.xs.tolist(), got.ys.tolist()), got.codes.ravel().tolist()
+        )
+    ]
+    assert got.codes.shape == (41, 41)
+    assert [tuple(map(repr, c)) for c in cells] == [tuple(map(repr, c)) for c in want.cells]
     assert [tuple(map(repr, p)) for p in got.points] == [tuple(map(repr, p)) for p in want.points]
     # every cell holds one of the four label objects, not a copy of its own
     labels = ADV_CASE_LABELS if map_kind == "adv" else DEF_CASE_LABELS
-    assert {id(lbl) for *_, lbl in got.cells} <= {id(lbl) for lbl in labels}
+    assert got.labels is labels
+    assert {id(lbl) for *_, lbl in cells} <= {id(lbl) for lbl in labels}

@@ -1,26 +1,42 @@
-"""The JSON report writer against ``json.dumps(indent=2, allow_nan=False)``.
+"""The report writer against ``json.dumps`` and ``csv.writer``.
 
 ``clfgame.cli._json_chunks`` writes plot data by hand and leaves the rest
-to json: it walks plain dicts with str keys, writes a list of finite
-floats in one join and a list of flat records from columns encoded once
-per distinct object, and hands every other value to a ``json.JSONEncoder``
-and re-indents its text.  Every report must still come out as the bytes of
-``json.dumps(report, indent=2, allow_nan=False) + "\\n"``, and a NaN or an
-infinity anywhere must raise json's own ValueError.  The random reports
-mix the shapes the fast paths take with the ones they must leave alone:
-records in another key order or with a key missing, columns of mixed
-types, ``-0.0`` beside ``0.0``, bools beside ints, numpy floats, dict
-subclasses, and non-ASCII and control characters in keys and values.
+to json.  It walks plain dicts with str keys that hold plot data, writes a
+long list of finite floats or strs in one join, and writes a column table
+(``cli._Table``: per column, its distinct values and one index per record)
+one join per record over columns that encode each distinct value once.
+Every other value, lists of records included, goes to a
+``json.JSONEncoder``, one call per value, and is re-indented.  Every report
+must still come out as the bytes of ``json.dumps(report, indent=2,
+allow_nan=False) + "\\n"``, with a table read as the records it stands for,
+and a NaN or an infinity must raise json's own ValueError: anywhere in a
+plain report, and in a table's distinct values whether or not a record
+points at it.  A table written as CSV must give the bytes ``csv.writer``
+gives its records.  Each report is written twice, with every list long
+enough to go by column and with the default length, so the column paths
+are drawn on small reports too.  The random reports mix the shapes the
+column paths take with the ones they must leave alone: records, some in
+another key order or with a key missing, lists of mixed types, ``-0.0``
+beside ``0.0``, bools beside ints, numpy floats, dict subclasses, and
+non-ASCII and control characters in keys and values.
 """
 
+import argparse
 import collections
+import contextlib
+import csv
+import functools
+import io
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import reference_game as ref
 from clfgame import cli
+from clfgame.config import bundled_config_path, load_spec
 
 from test_config_cli import GOOD_CONFIG, write_config
 
@@ -75,14 +91,20 @@ reports = st.recursive(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
         st.dictionaries(keys, children, max_size=4),
+        st.dictionaries(texts, children, max_size=4),
         st.dictionaries(keys, children, max_size=4).map(collections.OrderedDict),
     ),
     max_leaves=40,
 )
 
 
-def written(obj) -> str:
-    return "".join(cli._json_chunks(obj))
+# every list long enough to go by column, and the writer's own length
+COLUMN_MINS = (1, cli._COLUMN_MIN)
+
+
+def written(obj, column_min) -> str:
+    with mock.patch.object(cli, "_COLUMN_MIN", column_min):
+        return "".join(cli._json_chunks(obj))
 
 
 def expected(obj) -> str:
@@ -92,7 +114,8 @@ def expected(obj) -> str:
 @SETTINGS
 @hypothesis.given(report=reports)
 def test_writer_matches_json_dumps(report):
-    assert written(report) == expected(report)
+    for column_min in COLUMN_MINS:
+        assert written(report, column_min) == expected(report)
 
 
 @st.composite
@@ -120,10 +143,11 @@ def reports_with_a_non_finite_float(draw):
 def test_non_finite_floats_raise_json_error(report):
     with pytest.raises(ValueError) as from_json:
         expected(report)
-    with pytest.raises(ValueError) as from_writer:
-        written(report)
-    assert str(from_writer.value) == str(from_json.value)
-    assert "not JSON compliant" in str(from_writer.value)
+    for column_min in COLUMN_MINS:
+        with pytest.raises(ValueError) as from_writer:
+            written(report, column_min)
+        assert str(from_writer.value) == str(from_json.value)
+        assert "not JSON compliant" in str(from_writer.value)
 
 
 @pytest.mark.parametrize(
@@ -139,9 +163,119 @@ def test_non_finite_floats_raise_json_error(report):
 def test_other_types_raise_json_error(report):
     with pytest.raises(TypeError) as from_json:
         expected(report)
-    with pytest.raises(TypeError) as from_writer:
-        written(report)
-    assert str(from_writer.value) == str(from_json.value)
+    for column_min in COLUMN_MINS:
+        with pytest.raises(TypeError) as from_writer:
+            written(report, column_min)
+        assert str(from_writer.value) == str(from_json.value)
+
+
+# distinct values as a table holds them: one object per pool entry, so an
+# entry drawn twice is one object shared by two places, as a region map's
+# grid values are
+pool_values = st.one_of(
+    st.sampled_from(FLOAT_POOL + TEXT_POOL),
+    floats,
+    texts,
+    scalars,
+    st.lists(st.one_of(floats, texts), max_size=2),
+)
+
+
+@st.composite
+def tables(draw, min_columns=1):
+    """A column table: distinct values per column, some repeated and some unused."""
+    keys = tuple(draw(st.lists(texts, min_size=min_columns, max_size=4, unique=True)))
+    n_records = draw(st.integers(1, 8))
+    values, index = [], []
+    for _ in keys:
+        pool = draw(st.lists(pool_values, min_size=1, max_size=5))
+        values.append(pool)
+        index.append(draw(st.lists(st.integers(0, len(pool) - 1),
+                                   min_size=n_records, max_size=n_records)))
+    return cli._Table(keys, values, index)
+
+
+def records_of(table) -> list[dict]:
+    return [
+        dict(zip(table.keys, map(list.__getitem__, table.values, picks)))
+        for picks in zip(*table.index)
+    ]
+
+
+def materialised(obj):
+    """obj with each table replaced by the list of records it stands for."""
+    if isinstance(obj, cli._Table):
+        return records_of(obj)
+    if type(obj) is dict:
+        return {key: materialised(value) for key, value in obj.items()}
+    return obj
+
+
+@st.composite
+def reports_with_a_table(draw, table):
+    """table at the top of a report or under str keys, with items before and after it."""
+    report = draw(table)
+    for _ in range(draw(st.integers(0, 2))):
+        key = draw(texts)
+        before = draw(st.dictionaries(texts.filter(lambda k: k != key), reports, max_size=2))
+        after = draw(st.dictionaries(texts.filter(lambda k: k != key), reports, max_size=2))
+        report = {**before, key: report, **after}
+    return report
+
+
+@SETTINGS
+@hypothesis.given(report=reports_with_a_table(tables()))
+def test_tables_are_written_as_their_records(report):
+    for column_min in COLUMN_MINS:
+        assert written(report, column_min) == expected(materialised(report))
+
+
+@SETTINGS
+@hypothesis.given(table=tables(min_columns=2))
+def test_tables_are_written_as_csv_of_their_records(table):
+    # csv quotes a row of one empty field, so CSV tables have two columns or more
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(table.keys)
+    writer.writerows(record.values() for record in records_of(table))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit({}, argparse.Namespace(format="csv", out=None), csv_table=table)
+    assert out.getvalue() == buf.getvalue()
+
+
+@st.composite
+def tables_with_a_non_finite_value(draw):
+    """A table with NaN or an infinity among one column's distinct values,
+    which a record points at or which no record points at."""
+    table = draw(tables())
+    bad = draw(st.sampled_from([math.nan, math.inf, -math.inf, np.float64("nan")]))
+    column = draw(st.integers(0, len(table.keys) - 1))
+    pool = table.values[column]
+    at = draw(st.integers(0, len(pool)))
+    pool.insert(at, bad)
+    index = table.index[column]
+    index[:] = [i + (i >= at) for i in index]
+    if draw(st.booleans()):
+        index[draw(st.integers(0, len(index) - 1))] = at
+    return table
+
+
+@SETTINGS
+@hypothesis.given(table=tables_with_a_non_finite_value())
+def test_non_finite_values_in_a_table_raise_json_error_used_or_not(table):
+    # the error json raises for the first bad value, column by column
+    first_bad = next(
+        v for pool in table.values for v in pool
+        if isinstance(v, float) and not math.isfinite(v)
+    )
+    with pytest.raises(ValueError) as from_json:
+        expected(first_bad)
+    for column_min in COLUMN_MINS:
+        with pytest.raises(ValueError) as from_writer:
+            written({"cells": table}, column_min)
+        assert str(from_writer.value) == str(from_json.value)
+        assert "not JSON compliant" in str(from_writer.value)
 
 
 NON_ASCII_CONFIG = {
@@ -174,3 +308,55 @@ def test_stdout_and_out_file_hold_the_same_bytes(tmp_path, capsysbinary, command
         assert '"mod\\u00e8le' in text  # a ccr key or a point's name
     elif command[0] == "ccr-curve":
         assert text.startswith("rho,modèle,")
+
+
+# overrides under which each map reaches all four of its labels at grid 301
+REGION_MAPS_301 = [
+    ("madry_wide", "adv", ["--mu-adv=0.3"], {"mu": 0.3}),
+    ("shafahi_free", "adv", [], {}),
+    ("madry_wide", "def", ["--delta-mu-def=0.02", "--r-max=0.5"], {"d_mu": 0.02, "r_max": 0.5}),
+    ("shafahi_free", "def", ["--delta-mu-def=0.05", "--r-max=0.4"], {"d_mu": 0.05, "r_max": 0.4}),
+]
+
+
+@functools.lru_cache(maxsize=1)
+def reference_region_map(config, map_kind, overrides):
+    spec = load_spec(bundled_config_path(config))
+    return ref.build_region_map(spec, map_kind, 301, **dict(overrides))
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "config, map_kind, flags, overrides",
+    REGION_MAPS_301,
+    ids=[f"{config}-{map_kind}" for config, map_kind, *_ in REGION_MAPS_301],
+)
+def test_region_map_301_bytes_match_the_per_cell_reference(capsys, config, map_kind, flags,
+                                                           overrides, fmt):
+    want = reference_region_map(config, map_kind, tuple(overrides.items()))
+    assert len({label for *_, label in want.cells}) == 4
+    argv = ["region-map", "--spec", str(bundled_config_path(config)), "--map", map_kind,
+            "--grid", "301", "--format", fmt, *flags]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    if fmt == "json":
+        report = {
+            "command": "region_map",
+            "map": want.map_kind,
+            "x_axis": want.x_axis,
+            "y_axis": want.y_axis,
+            "params": want.params,
+            "grid": 301,
+            "cells": [{"x": x, "y": y, "case_label": label} for x, y, label in want.cells],
+            "points": [
+                {"name": name, "x": x, "y": y, "case_label": label}
+                for name, x, y, label in want.points
+            ],
+        }
+        assert out == expected(report)
+    else:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["x", "y", "case_label"])
+        writer.writerows(want.cells)
+        assert out == buf.getvalue()
