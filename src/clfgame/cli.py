@@ -505,11 +505,18 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _tolerance(text: str) -> float:
+    value = _finite_float(text)
+    if value < 0.0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {text!r}")
+    return value
+
+
 def _add_shared(sub: argparse.ArgumentParser, *, grid: bool = False, seed: bool = False) -> None:
     sub.add_argument("--spec", required=True, help="path to a game config JSON file")
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--out", default=None, help="write the report here instead of stdout")
-    sub.add_argument("--eps", type=_finite_float, default=DEFAULT_EPS)
+    sub.add_argument("--eps", type=_tolerance, default=DEFAULT_EPS)
     if grid:
         sub.add_argument("--grid", type=int, default=101)
     if seed:

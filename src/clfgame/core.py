@@ -173,7 +173,8 @@ class Strategy:
             raise ValueError("strategy entries must be finite")
         if np.any(probs < 0.0):
             raise ValueError("strategy entries must be nonnegative")
-        total = float(probs.sum())
+        with np.errstate(over="ignore"):  # a sum beyond the float range is inf
+            total = float(probs.sum())
         if abs(total - 1.0) > STRATEGY_SUM_TOL:
             raise ValueError(
                 f"strategy entries must sum to 1 within {STRATEGY_SUM_TOL}, got {total!r}"

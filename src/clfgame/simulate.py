@@ -53,6 +53,8 @@ class SimConfig:
             raise ValueError("n must be finite")
         if int(self.n) != self.n or self.n < 1:
             raise ValueError("n must be an integer >= 1")
+        if self.n > 2**63 - 1:  # the largest count numpy's draws accept
+            raise ValueError("n must be at most 2**63 - 1")
         if int(self.trials) != self.trials or self.trials < 1:
             raise ValueError("trials must be an integer >= 1")
         if not 0.0 <= self.r_max <= 1.0:
@@ -97,8 +99,9 @@ def simulate(spec: GameSpec, s: Strategy, r: Strategy, cfg: SimConfig) -> SimRes
     base_def = [-e.i_def - n * cost for cost in spec.model_costs.tolist()]
 
     # the small nudge guards against the float product landing a hair
-    # under an exactly-representable integer budget
-    n_controlled = int(math.floor(n * cfg.r_max + 1e-9))
+    # under an exactly-representable integer budget; above 2**53 the
+    # product can round past n itself
+    n_controlled = min(n, int(math.floor(n * cfg.r_max + 1e-9)))
     pure_s = s.pure_index()
     pure_r = r.pure_index()
     if pure_s is None:

@@ -10,23 +10,21 @@ finite game theory on them:
 * strict dominance, pure and by mixtures (the mixture certificates come
   from exact vertex enumeration of the max-min LP, so no LP solver
   dependency);
-* iterated elimination of strictly dominated actions;
 * the piecewise-linear upper envelope of per-model net-CCR lines, which
   is what a defender who can re-pick the model for every attack budget
-  would sit on;
-* a brute-force simplex-grid oracle used to cross-check the above.
+  would sit on.
 
 Enumeration costs grow combinatorially, so the enumerating entry points
 refuse games with more than ``MAX_ENUM_ACTIONS`` actions per side.  Both
 enumerations solve their small indifference systems in stacked LAPACK
-batches (:func:`_stacked_indifference`) rather than one call at a time,
-with one LU factorisation per square system: a second pass runs only
-over a chunk that holds a singular system.  Support enumeration screens
-the pairs in those batches (:func:`_screen`) before its exact per-pair
-path: overdetermined least-squares systems by a QR projection residual,
-the others by a pseudo-inverse residual, and the off-support conditions
-by two tests with margin ``tol + 1e-9 * scale``, one that needs no mixture
-and one on the mixtures of square systems.
+batches (:func:`_stacked_indifference`) rather than one call at a time:
+a square chunk is one stacked solve, which leaves NaN rows for its
+singular systems.  Support enumeration screens the pairs in those batches
+(:func:`_screen`) before its exact per-pair path: overdetermined
+least-squares systems by a QR projection residual, the others by a
+pseudo-inverse residual, and the off-support conditions by two tests with
+margin ``tol + 1e-9 * scale``, one that needs no mixture and one on the
+mixtures of square systems.
 """
 
 from __future__ import annotations
@@ -534,71 +532,6 @@ def dominance_report(m: PayoffMatrices, player: str, tol: float = DEFAULT_TOL) -
     return DominanceReport(player=player, actions=tuple(entries))
 
 
-@dataclass(frozen=True, eq=False)
-class EliminationStep:
-    player: str
-    action: int  # original index
-    status: str  # "pure_dominated" | "mixed_dominated"
-    dominated_by: int | None = None  # original index
-    margin: float = 0.0
-
-
-@dataclass(frozen=True, eq=False)
-class EliminationResult:
-    reduced: PayoffMatrices
-    rows: tuple[int, ...]  # surviving original row indices
-    cols: tuple[int, ...]
-    trace: tuple[EliminationStep, ...]
-
-
-def iterated_elimination(m: PayoffMatrices, tol: float = DEFAULT_TOL) -> EliminationResult:
-    """Remove strictly dominated actions (mixed dominance) until a fixpoint.
-
-    Strict dominance makes the survivor set independent of removal order,
-    so all of a player's dominated actions fall in one sweep.  The trace
-    records every removal in original indices.
-    """
-    _guard_size(m.n_rows, m.n_cols)
-    rows = list(range(m.n_rows))
-    cols = list(range(m.n_cols))
-    trace: list[EliminationStep] = []
-    changed = True
-    while changed:
-        changed = False
-        for player in ("defender", "adversary"):
-            live = rows if player == "defender" else cols
-            if len(live) <= 1:
-                continue
-            sub = PayoffMatrices(
-                u_adv=m.u_adv[np.ix_(rows, cols)],
-                u_def=m.u_def[np.ix_(rows, cols)],
-            )
-            report = dominance_report(sub, player, tol)
-            doomed = [a for a in report.actions if a.status != "undominated"]
-            if not doomed:
-                continue
-            for a in doomed:
-                trace.append(
-                    EliminationStep(
-                        player=player,
-                        action=live[a.action],
-                        status=a.status,
-                        dominated_by=None if a.dominated_by is None else live[a.dominated_by],
-                        margin=a.margin,
-                    )
-                )
-            for a in sorted((a.action for a in doomed), reverse=True):
-                del live[a]
-            changed = True
-    reduced = PayoffMatrices(
-        u_adv=m.u_adv[np.ix_(rows, cols)],
-        u_def=m.u_def[np.ix_(rows, cols)],
-    )
-    return EliminationResult(
-        reduced=reduced, rows=tuple(rows), cols=tuple(cols), trace=tuple(trace)
-    )
-
-
 # ---------------------------------------------------------------------------
 # upper envelope of per-model net-CCR lines
 
@@ -704,96 +637,3 @@ def upper_envelope_ccr(
         attack_index=attack_index,
         r_max=r_max,
     )
-
-
-# ---------------------------------------------------------------------------
-# brute-force grid oracle
-
-
-@dataclass(frozen=True, eq=False)
-class GridProfile:
-    s: np.ndarray
-    r: np.ndarray
-    gain: float
-
-
-def simplex_grid(dim: int, divisions: int) -> np.ndarray:
-    """All points of the probability simplex with coordinates k/divisions."""
-    if dim < 1 or divisions < 1:
-        raise ValueError("dim and divisions must be positive")
-    points: list[list[int]] = []
-
-    def rec(prefix: list[int], remaining: int, slots: int) -> None:
-        if slots == 1:
-            points.append(prefix + [remaining])
-            return
-        for v in range(remaining + 1):
-            rec(prefix + [v], remaining - v, slots - 1)
-
-    rec([], divisions, dim)
-    return np.array(points, dtype=float) / divisions
-
-
-def grid_equilibrium_scan(
-    m: PayoffMatrices,
-    step: float = 0.005,
-    gain_tol: float | None = None,
-    chunk: int = 1024,
-) -> list[GridProfile]:
-    """Scan both strategy simplices on a grid for mutual near-best responses.
-
-    With ``gain_tol`` given, returns every grid profile whose maximum
-    deviation gain is at most the tolerance; otherwise just the single
-    best grid profile.  Purely a cross-checking oracle: cost is the
-    product of both grid sizes.
-    """
-    divisions = max(1, round(1.0 / step))
-    counts = [_simplex_count(m.n_rows, divisions), _simplex_count(m.n_cols, divisions)]
-    if max(counts) > 200_000:
-        raise SolverGuardError(
-            f"grid of {counts} points per side is beyond the scan guard; "
-            "use a coarser step"
-        )
-    s_grid = simplex_grid(m.n_rows, divisions)
-    r_grid = simplex_grid(m.n_cols, divisions)
-
-    su = s_grid @ m.u_adv  # (P, M): adversary payoff per column under each s
-    adv_best = su.max(axis=1)
-    ur = m.u_def @ r_grid.T  # (N, Q): defender payoff per row under each r
-    def_best = ur.max(axis=0)
-
-    out: list[GridProfile] = []
-    best: tuple[float, int, int] | None = None
-    for lo in range(0, s_grid.shape[0], chunk):
-        hi = min(lo + chunk, s_grid.shape[0])
-        adv_cur = su[lo:hi] @ r_grid.T
-        def_cur = s_grid[lo:hi] @ ur
-        gains = np.maximum(
-            adv_best[lo:hi, None] - adv_cur,
-            def_best[None, :] - def_cur,
-        )
-        if gain_tol is None:
-            flat = int(np.argmin(gains))
-            p, q = divmod(flat, gains.shape[1])
-            g = float(gains[p, q])
-            if best is None or g < best[0]:
-                best = (g, lo + p, q)
-        else:
-            for p, q in np.argwhere(gains <= gain_tol):
-                out.append(
-                    GridProfile(
-                        s=s_grid[lo + p].copy(),
-                        r=r_grid[q].copy(),
-                        gain=float(gains[p, q]),
-                    )
-                )
-    if gain_tol is None and best is not None:
-        g, p, q = best
-        out.append(GridProfile(s=s_grid[p].copy(), r=r_grid[q].copy(), gain=g))
-    return out
-
-
-def _simplex_count(dim: int, divisions: int) -> int:
-    import math
-
-    return math.comb(divisions + dim - 1, dim - 1)

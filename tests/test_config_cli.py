@@ -836,6 +836,31 @@ def test_non_finite_float_flags_are_rejected(tmp_path, capsys, argv):
     assert not out_path.exists()
 
 
+ALL_COMMANDS = [
+    ("validate",),
+    ("solve",),
+    ("cases",),
+    ("ccr-curve",),
+    ("region-map", "--map", "adv"),
+    ("dominance",),
+    ("envelope",),
+    ("simulate", "--s-probs", "0,1", "--r-probs", "1,0"),
+]
+
+
+@pytest.mark.parametrize("eps", ["-1e-12", "-1"])
+@pytest.mark.parametrize("command", ALL_COMMANDS, ids=lambda c: c[0])
+def test_negative_eps_is_rejected(tmp_path, capsys, command, eps):
+    path = write_config(tmp_path, GOOD_CONFIG)
+    out_path = tmp_path / "report.json"
+    argv = (*command, "--spec", path, "--out", str(out_path), f"--eps={eps}")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: argument --eps: must be at least 0, got {eps!r}\n"
+    assert not out_path.exists()
+
+
 def test_reports_with_non_finite_numbers_are_not_written(tmp_path, capsys, monkeypatch):
     # with the flag check out of the way a NaN reaches the report, which
     # strict JSON cannot hold
@@ -871,6 +896,25 @@ def test_reports_with_non_finite_numbers_are_not_written(tmp_path, capsys, monke
             assert out == ""
             assert "not JSON compliant" in err
             assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    ("n", "code"),
+    [("100000000000000000000", 1), (str(2**63), 1), (str(2**63 - 1), 0), (str(2**54 - 1), 0)],
+)
+def test_simulate_budgets_near_numpys_largest_count(tmp_path, capsys, n, code):
+    # the pure profile puts the whole budget n * r_max under attack, and
+    # above 2**53 that float product rounds past n
+    path = write_config(tmp_path, GOOD_CONFIG)
+    argv = ("--s-probs", "1,0", "--r-probs", "1,0", "--trials", "2", "--r-max", "1", "--n", n)
+    got, out, err = run_cli(capsys, "simulate", "--spec", path, *argv)
+    assert got == code
+    if code:
+        assert out == ""
+        assert err == "error: n must be at most 2**63 - 1\n"
+    else:
+        assert json.loads(out, parse_constant=pytest.fail)["n"] == int(n)
+        assert err == ""
 
 
 def test_simulate_rejects_n_beyond_float_range(tmp_path, capsys):

@@ -201,6 +201,9 @@ class TestStrategy:
     def test_rejects_bad_sum(self):
         with pytest.raises(ValueError):
             Strategy((0.5, 0.4))
+        # a sum beyond the float range, without numpy's overflow warning
+        with pytest.raises(ValueError, match="must sum to 1 within .*, got inf"):
+            Strategy((1e308, 1e308))
 
     def test_renormalizes_tiny_drift(self):
         s = Strategy((0.5, 0.5 + 5e-13))

@@ -7,10 +7,7 @@ from clfgame.payoff import PayoffMatrices, payoff_matrices
 from clfgame.solver import (
     SolverGuardError,
     dominance_report,
-    grid_equilibrium_scan,
-    iterated_elimination,
     pure_equilibria,
-    simplex_grid,
     support_enumeration,
     upper_envelope_ccr,
     verify_equilibrium,
@@ -178,41 +175,13 @@ class TestDominance:
                 if a.status == "undominated":
                     assert a.margin <= 1e-9
 
-
-class TestIteratedElimination:
-    def test_model_zoo_with_costly_attack(self):
-        m = payoff_matrices(shafahi_spec(attack_costs=[0.6]))
-        result = iterated_elimination(m)
-        assert result.rows == (0, 1, 3)
-        assert result.cols == (0, 1)
-        removed = {(step.player, step.action) for step in result.trace}
-        assert removed == {("defender", 2), ("defender", 4)}
-        assert all(step.margin > 0 for step in result.trace)
-        assert result.reduced.u_def.shape == (3, 2)
-
-    def test_broken_ordering_collapses(self):
-        # model 0 is better both clean and under attack; with a free attack
-        # the game then collapses to (model 0, attack)
-        m = payoff_matrices(make_spec([0.9, 0.8], [[0.3], [0.2]]))
-        result = iterated_elimination(m)
-        assert result.rows == (0,)
-        assert result.cols == (0,)
-        players = [step.player for step in result.trace]
-        assert players == ["defender", "adversary"]
-
-    def test_matching_pennies_is_irreducible(self):
-        result = iterated_elimination(matching_pennies())
-        assert result.rows == (0, 1)
-        assert result.cols == (0, 1)
-        assert result.trace == ()
-
     def test_elimination_is_safe(self):
         m = payoff_matrices(shafahi_spec(attack_costs=[0.6]))
-        survivors = set(iterated_elimination(m).rows)
+        dominated = dominance_report(m, "defender").dominated_actions()
+        assert dominated == (2, 4)
         for eq in support_enumeration(m):
-            for i in range(m.n_rows):
-                if i not in survivors:
-                    assert eq.s.probs[i] <= 1e-9
+            for i in dominated:
+                assert eq.s.probs[i] <= 1e-9
 
 
 class TestEnvelope:
@@ -277,36 +246,3 @@ class TestEnvelope:
                 )
                 values = (1 - rho) * acc + rho * rob - mu
                 assert values[seg.model_index] >= values.max() - 1e-9
-
-
-class TestGridScan:
-    def test_best_profile_tracks_equilibrium(self):
-        m = payoff_matrices(demo_mixed_spec())
-        best = grid_equilibrium_scan(m, step=0.005)
-        assert len(best) == 1
-        profile = best[0]
-        assert profile.gain <= 1e-3
-        assert abs(profile.s[0] - 0.5) <= 0.0051
-        assert abs(profile.r[0] - 4 / 9) <= 0.0051
-
-    def test_low_gain_profiles_cluster_at_equilibrium(self):
-        m = payoff_matrices(demo_mixed_spec())
-        close = grid_equilibrium_scan(m, step=0.005, gain_tol=2e-3)
-        assert close
-        for profile in close:
-            assert abs(profile.s[0] - 0.5) <= 0.02
-            assert abs(profile.r[0] - 4 / 9) <= 0.02
-
-    def test_guard_on_fine_grids(self):
-        m = payoff_matrices(demo_mixed_spec())
-        with pytest.raises(SolverGuardError):
-            grid_equilibrium_scan(m, step=1e-6)
-
-    def test_simplex_grid_shapes(self):
-        g = simplex_grid(2, 4)
-        assert g.shape == (5, 2)
-        assert np.allclose(g.sum(axis=1), 1.0)
-        g3 = simplex_grid(3, 3)
-        assert g3.shape == (10, 3)
-        assert np.allclose(g3.sum(axis=1), 1.0)
-        assert np.all(g3 >= 0)

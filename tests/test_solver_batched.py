@@ -18,7 +18,6 @@ from clfgame.payoff import PayoffMatrices, payoff_matrices
 from clfgame.solver import (
     SolverGuardError,
     dominance_report,
-    iterated_elimination,
     support_enumeration,
 )
 
@@ -131,8 +130,6 @@ def test_guards_fire_before_any_stacked_system(shape, monkeypatch):
     for player in ("defender", "adversary"):
         with pytest.raises(SolverGuardError):
             dominance_report(m, player)
-    with pytest.raises(SolverGuardError):
-        iterated_elimination(m)
     with pytest.raises(SolverGuardError):
         support_enumeration(m)
 
