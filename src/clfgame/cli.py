@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -63,13 +64,6 @@ EXIT_IO = 3
 
 # ---------------------------------------------------------------------------
 # serialization helpers
-
-
-def _finite_or_none(x: float | None) -> float | None:
-    if x is None:
-        return None
-    x = float(x)
-    return x if np.isfinite(x) else None
 
 
 # JSON reports are the bytes of json.dumps(report, indent=2, allow_nan=False)
@@ -403,7 +397,8 @@ def cmd_dominance(args: argparse.Namespace) -> int:
                     if a.dominated_by is None
                     else names[a.dominated_by],
                     "mixture": None if a.mixture is None else a.mixture.tolist(),
-                    "margin": _finite_or_none(a.margin),
+                    # -inf for a lone action, which has no alternative
+                    "margin": a.margin if math.isfinite(a.margin) else None,
                 }
             )
         return out
@@ -523,28 +518,35 @@ def _add_shared(sub: argparse.ArgumentParser, *, grid: bool = False, seed: bool 
         sub.add_argument("--seed", type=int, default=0)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``clfgame`` parser, built once per process and shared by every call.
+
+    A parse leaves the parser as it was, so ``main`` may run any number of
+    times in one process.  ``main`` looks each command's handler up by name
+    (``cmd_<command>``) when it runs, so a handler replaced on this module
+    after the first build is the one that runs.  The ``type=`` callables of
+    the flags are bound at the first build: replacing ``_finite_float``
+    later reaches ``--eps``, whose ``_tolerance`` calls it by name, but not
+    ``--mu-adv``, ``--delta-mu-def`` or ``--r-max``.
+    """
     parser = _Parser(prog="clfgame", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("validate", help="check a config against every game invariant")
     _add_shared(p)
-    p.set_defaults(handler=cmd_validate)
 
     p = subs.add_parser("solve", help="equilibria, thresholds and case analysis")
     _add_shared(p)
-    p.set_defaults(handler=cmd_solve)
 
     p = subs.add_parser("cases", help="satisfiable best-response cases (2x2 ordered games)")
     _add_shared(p)
     p.add_argument("--s-probs", default=None, help="defender mix, e.g. 0.5,0.5")
     p.add_argument("--r-probs", default=None, help="adversary mix, e.g. 0.3,0.7")
-    p.set_defaults(handler=cmd_cases)
 
     p = subs.add_parser("ccr-curve", help="CCR of every model over the attack budget")
     _add_shared(p, grid=True)
     p.add_argument("--attack", type=int, default=0)
-    p.set_defaults(handler=cmd_ccr_curve)
 
     p = subs.add_parser("region-map", help="case-precondition regions over a parameter plane")
     _add_shared(p, grid=True)
@@ -553,16 +555,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu-adv", type=_finite_float, default=None, dest="mu_adv")
     p.add_argument("--delta-mu-def", type=_finite_float, default=None, dest="delta_mu_def")
     p.add_argument("--r-max", type=_finite_float, default=None, dest="r_max")
-    p.set_defaults(handler=cmd_region_map)
 
     p = subs.add_parser("dominance", help="strict dominance report for both players")
     _add_shared(p)
-    p.set_defaults(handler=cmd_dominance)
 
     p = subs.add_parser("envelope", help="upper envelope of per-model net CCR lines")
     _add_shared(p)
     p.add_argument("--attack", type=int, default=0)
-    p.set_defaults(handler=cmd_envelope)
 
     p = subs.add_parser("simulate", help="seeded Monte-Carlo run of a strategy profile")
     _add_shared(p, seed=True)
@@ -571,7 +570,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--r-max", type=_finite_float, default=None, dest="r_max")
-    p.set_defaults(handler=cmd_simulate)
 
     return parser
 
@@ -585,7 +583,7 @@ def main(argv=None) -> int:
             raise ConfigError(
                 "csv output is only available for the ccr-curve and region-map commands"
             )
-        return args.handler(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except SolverGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD

@@ -89,3 +89,55 @@ def test_utilities_that_overflow_are_refused(tmp_path, capfd, command):
     out, err = capfd.readouterr()  # file-descriptor level: LAPACK writes to fd 1 directly
     assert (code, out) == (1, "")
     assert err == "error: utilities overflow the float range; reduce n or the rewards\n"
+
+
+def test_one_parser_serves_every_call_and_handlers_are_read_per_call(capsys, monkeypatch):
+    # perfbench's tracer wraps cli.cmd_* after its warm-up call, and tests
+    # patch module attributes: the handler must be the one on the module now
+    spec = str(bundled_config_path("madry_wide"))
+    builds = []
+    add_shared = cli._add_shared
+
+    def counting(sub, **kwargs):
+        builds.append(sub.prog)
+        add_shared(sub, **kwargs)
+
+    monkeypatch.setattr(cli, "_add_shared", counting)
+    cli.build_parser.cache_clear()
+    first = run_cli(capsys, "solve", "--spec", spec)
+    ran = []
+    solve = cli.cmd_solve
+
+    def wrapped(args):
+        ran.append(args.command)
+        return solve(args)
+
+    monkeypatch.setattr(cli, "cmd_solve", wrapped)
+    second = run_cli(capsys, "solve", "--spec", spec)
+    assert len(builds) == 8  # one _add_shared per command, one build
+    assert ran == ["solve"]
+    assert first == second and first[0] == 0
+
+
+@pytest.mark.parametrize(
+    "refused",
+    [
+        ["solve"],
+        ["solve", "--spec", "{spec}", "--eps=-1"],
+        ["frobnicate", "--spec", "{spec}"],
+        ["solve", "--spec", "{spec}", "--format", "csv"],
+    ],
+    ids=["no-spec", "negative-eps", "unknown-command", "csv-on-solve"],
+)
+def test_a_refused_argv_leaves_the_next_call_as_it_was(tmp_path, capsys, refused):
+    spec = str(bundled_config_path("madry_wide"))
+    out_path = tmp_path / "report.json"
+    valid = ("solve", "--spec", spec, "--out", str(out_path))
+    assert run_cli(capsys, *valid) == (0, "", "")
+    expected = out_path.read_bytes()
+    out_path.unlink()
+    code, out, err = run_cli(capsys, *(arg.format(spec=spec) for arg in refused))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert run_cli(capsys, *valid) == (0, "", "")
+    assert out_path.read_bytes() == expected

@@ -863,7 +863,10 @@ def test_negative_eps_is_rejected(tmp_path, capsys, command, eps):
 
 def test_reports_with_non_finite_numbers_are_not_written(tmp_path, capsys, monkeypatch):
     # with the flag check out of the way a NaN reaches the report, which
-    # strict JSON cannot hold
+    # strict JSON cannot hold.  The parser binds the other float flags' type
+    # when it is first built, so build it before the patch: a parser built
+    # under it would skip their finite check in every later test
+    cli.build_parser()
     monkeypatch.setattr(cli, "_finite_float", float)
 
     # NaNs in the float columns the plot commands write by column: one CCR
