@@ -67,12 +67,13 @@ EXIT_IO = 3
 
 
 # JSON reports are the bytes of json.dumps(report, indent=2, allow_nan=False)
-# plus a newline.  The writer writes a long list of finite floats or strs as
-# one join, and a _Table as one join per record over columns that encode each
-# distinct value once.  It walks the str-keyed plain dicts that hold such data
-# and hands every other value to json, one call per value, re-indented to its
-# depth, so json's rules and errors hold.  A report without plot data is one
-# json call: a short list costs json less than the walk around it.
+# plus a newline.  The writer writes a long list of finite floats, ints or
+# strs as one join, and a _Table as one join per record over columns that
+# encode each distinct value once.  It walks the str-keyed plain dicts that
+# hold such data and hands every other value to json, one call per value,
+# re-indented to its depth, so json's rules and errors hold.  A report
+# without plot data is one json call: a short list costs json less than the
+# walk around it.
 _INDENT = "  "
 _ENCODER = json.JSONEncoder(indent=2, allow_nan=False)
 _COLUMN_MIN = 32
@@ -125,10 +126,12 @@ def _chunks(obj, depth: int) -> list[str] | None:
 
 
 def _texts(values: list):
-    """The JSON texts of finite floats or of strs, else None."""
+    """The JSON texts of finite floats, of ints or of strs, else None."""
     kinds = set(map(type, values))
     if kinds == {float} and all(map(math.isfinite, values)):
         return map(float.__repr__, values)
+    if kinds == {int}:  # bools are a type of their own, and stay with json
+        return map(int.__repr__, values)
     return map(_quote, values) if kinds == {str} else None
 
 

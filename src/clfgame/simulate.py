@@ -12,10 +12,14 @@ sample (defender); investments are paid once per trial.
 
 Randomness comes from fixed-stride PCG64 substreams: trial ``t`` draws
 from exactly the stream of ``PCG64(seed).jumped(t)``, so results are
-bit-identical across runs and independent of trial order.  The loop does
-not build a generator per trial.  One cursor starts at ``PCG64(seed)``
-and moves by numpy's jump stride after each trial; each trial copies the
-cursor's state into one reused ``Generator``.  The model lottery is
+bit-identical across runs and independent of trial order.  The loop
+builds neither a generator nor a bit generator per trial.  PCG64 moves
+its 128-bit state by an LCG with the stream's fixed increment, so one
+jump is an affine map of the state mod 2**128, whose two coefficients
+numpy's own ``advance`` gives once per run (``_substream_states``).
+Each trial's start state is then a Python int, stepped by that map and
+written into one state dict that is assigned to the bit generator of
+one reused ``Generator``.  The model lottery is
 ``Generator.choice``'s own arithmetic, one uniform draw against the
 normalised cdf, with the cdf built once.  Draws that are deterministic
 (pure strategies, empty sample groups) consume no randomness, which
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -35,6 +40,7 @@ from .payoff import utility_adv, utility_def
 
 # numpy's PCG64 jump stride: ``jumped(t)`` advances the state by t times this
 JUMP_STRIDE = 0x9E3779B97F4A7C15F39CC0605CEDC835
+_STATE_MASK = 2**128 - 1
 
 
 @dataclass(frozen=True)
@@ -55,7 +61,7 @@ class SimConfig:
             raise ValueError("n must be an integer >= 1")
         if self.n > 2**63 - 1:  # the largest count numpy's draws accept
             raise ValueError("n must be at most 2**63 - 1")
-        if int(self.trials) != self.trials or self.trials < 1:
+        if not isinstance(self.trials, (int, np.integer)) or self.trials < 1:
             raise ValueError("trials must be an integer >= 1")
         if not 0.0 <= self.r_max <= 1.0:
             raise ValueError("r_max out of [0,1]")
@@ -83,6 +89,29 @@ class ConvergenceReport:
     empirical_def: float
     analytic_def: float
     std_error_def: float
+
+
+def _substream_states(bits: np.random.PCG64, count: int) -> Iterator[int]:
+    """The 128-bit start states of ``PCG64(seed).jumped(t)`` for t < count,
+    with bits at ``PCG64(seed)``.  Moves bits to probe states on first use.
+
+    One jump is ``x -> (mul * x + add) % 2**128`` for the stream's fixed
+    increment; numpy's own ``advance`` on the probe states 0 and 1 gives
+    ``add`` and ``mul + add``.
+    """
+    state = bits.state
+    x = state["state"]["state"]
+    images = []
+    for probe in (0, 1):
+        state["state"]["state"] = probe
+        bits.state = state
+        bits.advance(JUMP_STRIDE)
+        images.append(bits.state["state"]["state"])
+    add = images[0]
+    mul = (images[1] - add) & _STATE_MASK
+    for _ in range(count):
+        yield x
+        x = (mul * x + add) & _STATE_MASK
 
 
 def simulate(spec: GameSpec, s: Strategy, r: Strategy, cfg: SimConfig) -> SimResult:
@@ -115,12 +144,13 @@ def simulate(spec: GameSpec, s: Strategy, r: Strategy, cfg: SimConfig) -> SimRes
             fixed_counts[pure_r] = n_controlled
 
     util_adv, util_def, models_played = [], [], []
-    cursor = np.random.PCG64(cfg.seed)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    trial_bits = rng.bit_generator
-    for _ in range(cfg.trials):
-        trial_bits.state = cursor.state
-        cursor.advance(JUMP_STRIDE)
+    bits = rng.bit_generator
+    state = bits.state  # one dict, rewritten and assigned once per trial
+    start = state["state"]
+    for x in _substream_states(bits, cfg.trials):
+        start["state"] = x
+        bits.state = state
         i = pure_s if pure_s is not None else bisect_right(cdf, rng.random())
         if fixed_counts is None:
             counts = rng.multinomial(n_controlled, r.probs).tolist()

@@ -2,9 +2,10 @@
 
 ``clfgame.cli._json_chunks`` writes plot data by hand and leaves the rest
 to json.  It walks plain dicts with str keys that hold plot data, writes a
-long list of finite floats or strs in one join, and writes a column table
-(``cli._Table``: per column, its distinct values and one index per record)
-one join per record over columns that encode each distinct value once.
+long list of finite floats, ints or strs in one join, and writes a column
+table (``cli._Table``: per column, its distinct values and one index per
+record) one join per record over columns that encode each distinct value
+once.
 Every other value, lists of records included, goes to a
 ``json.JSONEncoder``, one call per value, and is re-indented.  Every report
 must still come out as the bytes of ``json.dumps(report, indent=2,
@@ -167,6 +168,43 @@ def test_other_types_raise_json_error(report):
         with pytest.raises(TypeError) as from_writer:
             written(report, column_min)
         assert str(from_writer.value) == str(from_json.value)
+
+
+def int_list(length: int) -> list[int]:
+    """Ints of both signs, some beyond 2**64, of the given length."""
+    rng = np.random.default_rng(length)
+    values = [int(v) for v in rng.integers(-(2**40), 2**40, size=length)]
+    for at, big in zip(range(0, length, 7), [2**64, -(2**64) - 1, 3**90, -(10**30), 0, -1]):
+        values[at] = big
+    return values
+
+
+@pytest.mark.parametrize("length", [31, 32, 5000])
+def test_int_lists_match_json_dumps(length):
+    values = int_list(length)
+    assert cli._texts(values) is not None
+    for report in (values, {"per_trial": {"model_played": values, "n": length}}):
+        assert written(report, cli._COLUMN_MIN) == expected(report)
+
+
+@pytest.mark.parametrize("odd", [True, 1.0], ids=["bool", "float"])
+def test_int_lists_with_another_type_stay_with_json(odd):
+    values = int_list(40)
+    values[20] = odd
+    assert cli._texts(values) is None
+    for report in (values, {"model_played": values}):
+        assert written(report, cli._COLUMN_MIN) == expected(report)
+
+
+def test_simulate_report_matches_json_dumps(capsys):
+    argv = ["simulate", "--spec", str(bundled_config_path("shafahi_free")), "--s-probs",
+            "0.1,0.2,0.3,0.25,0.15", "--r-probs", "0.6,0.4", "--trials", "48", "--seed", "19"]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    model_played = report["per_trial"]["model_played"]
+    assert len(model_played) == 48 and cli._texts(model_played) is not None
+    assert out == expected(report)
 
 
 # distinct values as a table holds them: one object per pool entry, so an

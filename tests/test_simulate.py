@@ -18,6 +18,9 @@ class TestSimConfig:
             SimConfig(seed=1, n=10, trials=0, r_max=0.5)
         with pytest.raises(ValueError):
             SimConfig(seed=1, n=10, trials=10, r_max=1.5)
+        # an integral float would reach range() in simulate
+        with pytest.raises(ValueError, match="^trials must be an integer >= 1$"):
+            SimConfig(seed=1, n=10, trials=3.0, r_max=0.5)
         # numpy's draws take counts of at most 2**63 - 1
         for n in (2**63, 1e19):
             with pytest.raises(ValueError, match=r"n must be at most 2\*\*63 - 1"):

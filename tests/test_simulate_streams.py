@@ -1,8 +1,9 @@
 """The reused-generator trial loop draws exactly the parent's per-trial streams.
 
 ``clfgame.simulate`` no longer builds ``Generator(PCG64(seed).jumped(t))``
-for every trial; it copies a cursor's state into one generator and
-replaces ``Generator.choice`` with the same cdf arithmetic.  Every
+for every trial; it steps each trial's start state as a Python int,
+assigns it to one generator's bit generator, and replaces
+``Generator.choice`` with the same cdf arithmetic.  Every
 per-trial array must equal ``tests/reference_simulate.py`` under
 ``tobytes()``.
 """
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from clfgame.core import Strategy
-from clfgame.simulate import JUMP_STRIDE, SimConfig, simulate
+from clfgame.simulate import JUMP_STRIDE, SimConfig, _substream_states, simulate
 
 from conftest import general_spec, make_spec, random_strategy
 import reference_simulate
@@ -82,6 +83,25 @@ def test_cursor_walks_the_jumped_substreams(seed):
     for t in range(64):
         assert cursor.state == np.random.PCG64(seed).jumped(t).state, t
         cursor.advance(JUMP_STRIDE)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_integer_cursor_walks_the_jumped_substreams(seed):
+    bits = np.random.PCG64(seed)
+    got = list(_substream_states(bits, 1025))
+    want = [np.random.PCG64(seed).jumped(t).state for t in range(1025)]
+    assert {w["state"]["inc"] for w in want} == {bits.state["state"]["inc"]}
+    assert got == [w["state"]["state"] for w in want]
+
+
+@pytest.mark.parametrize("kind_r", ["pure", "mixed"])
+def test_long_run_matches_reference(kind_r):
+    # the pure mix plays a real attack, so every trial draws a binomial
+    rng = np.random.default_rng([2**32 + 1, int(kind_r == "mixed")])
+    spec = general_spec(rng, n_models=3, n_attacks=3)
+    r = Strategy.pure(1, 3) if kind_r == "pure" else random_strategy(rng, 3)
+    cfg = SimConfig(seed=2**70 + 9, n=120, trials=2500, r_max=0.7)
+    assert_same_streams(spec, random_strategy(rng, 3), r, cfg)
 
 
 @pytest.mark.parametrize("seed", [-1, -(2**70), 1.5, "3"])
