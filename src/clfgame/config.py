@@ -9,11 +9,9 @@ parameters.  See ``data/madry_wide.json`` for the shape.
 from __future__ import annotations
 
 import json
+import numbers
 from importlib import resources
 from pathlib import Path
-
-from jsonschema.exceptions import best_match
-from jsonschema.validators import validator_for
 
 from .core import (
     AttackAction,
@@ -89,8 +87,38 @@ CONFIG_SCHEMA = {
 }
 
 
-# Built once: the schema is a constant, checked against its metaschema by the tests.
-_CONFIG_VALIDATOR = validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+# The type rules of jsonschema's default (Draft 2020-12) checker.
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "number": lambda v: isinstance(v, numbers.Number) and not isinstance(v, bool),
+    "integer": lambda v: not isinstance(v, bool)
+    and (isinstance(v, int) or isinstance(v, float) and v.is_integer()),
+}
+
+
+def _conforms(value, schema: dict) -> bool:
+    """Whether ``value`` matches ``schema``, as jsonschema would judge it.
+
+    Reads only the keywords CONFIG_SCHEMA uses: type, required,
+    additionalProperties (false), properties, items and minItems.
+    """
+    if not _TYPES[schema["type"]](value):
+        return False
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        return (
+            all(key in value for key in schema.get("required", ()))
+            and (schema.get("additionalProperties", True) or value.keys() <= props.keys())
+            and all(_conforms(v, props[k]) for k, v in value.items() if k in props)
+        )
+    if isinstance(value, list):
+        items = schema.get("items")
+        return len(value) >= schema.get("minItems", 0) and (
+            items is None or all(_conforms(v, items) for v in value)
+        )
+    return True
 
 
 class ConfigError(ValueError):
@@ -107,11 +135,17 @@ class SpecValidationError(ValueError):
 
 def spec_from_dict(raw: dict) -> GameSpec:
     """Build a GameSpec from parsed config JSON (appends the no-attack action)."""
-    # the error ``jsonschema.validate(raw, CONFIG_SCHEMA)`` would raise
-    err = best_match(_CONFIG_VALIDATOR.iter_errors(raw))
-    if err is not None:
-        where = "/".join(str(p) for p in err.absolute_path) or "<root>"
-        raise ConfigError(f"config field {where}: {err.message}") from err
+    if not _conforms(raw, CONFIG_SCHEMA):
+        # Imported here, so a valid config never loads jsonschema.  It words the
+        # error ``jsonschema.validate(raw, CONFIG_SCHEMA)`` would raise, and has
+        # the last word: a config it finds no fault in is accepted.
+        from jsonschema.exceptions import best_match
+        from jsonschema.validators import validator_for
+
+        err = best_match(validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA).iter_errors(raw))
+        if err is not None:
+            where = "/".join(str(p) for p in err.absolute_path) or "<root>"
+            raise ConfigError(f"config field {where}: {err.message}") from err
     models = tuple(
         ModelProfile(
             name=m["name"], acc=m["acc"], ongoing_cost=m.get("ongoing_cost", 0.0)

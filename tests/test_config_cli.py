@@ -9,11 +9,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import hypothesis
 import jsonschema
 import pytest
+from hypothesis import strategies as st
 from jsonschema.validators import validator_for
 
-from clfgame import cli
+from clfgame import cli, config
 from clfgame.analytic import build_region_map
 from clfgame.config import (
     CONFIG_SCHEMA,
@@ -649,6 +651,22 @@ print(json.dumps({"codes": codes, "checked": len(checked)}))
 """
 
 
+def _run_fresh(script: str, commands: list[list[str]]):
+    """Run ``script`` in a fresh interpreter with ``commands`` as its one argument."""
+    src_dir = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src_dir), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(commands)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 def test_commands_never_check_a_schema(tmp_path):
     path = write_config(tmp_path, GOOD_CONFIG)
     commands = [
@@ -657,18 +675,42 @@ def test_commands_never_check_a_schema(tmp_path):
         ["region-map", "--spec", path, "--map", "adv", "--grid", "5"],
         ["simulate", "--spec", path, "--s-probs", "0.5,0.5", "--r-probs", "0.5,0.5", "--trials", "5"],
     ]
-    src_dir = Path(cli.__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src_dir), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _COUNT_SCHEMA_CHECKS, json.dumps(commands)],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"codes": [0] * 12, "checked": 0}
+    assert _run_fresh(_COUNT_SCHEMA_CHECKS, commands) == {"codes": [0] * 12, "checked": 0}
+
+
+# Notes, in a fresh interpreter, whether jsonschema is loaded after the
+# import and after each command, with the command's exit code and stderr.
+_JSONSCHEMA_LOADED = """
+import contextlib, io, json, sys
+from clfgame import cli
+
+seen = [["import", None, "", "jsonschema" in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    seen.append([argv[0], code, err.getvalue(), "jsonschema" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def test_jsonschema_is_imported_only_to_word_a_config_error(tmp_path):
+    good = write_config(tmp_path, GOOD_CONFIG)
+    bad = write_config(tmp_path, _malformed_configs()["wrong type"], name="bad.json")
+    commands = [
+        ["validate", "--spec", good],
+        ["solve", "--spec", good],
+        ["validate", "--spec", bad],
+        ["solve", "--spec", bad],
+    ]
+    error = "error: config field models/1/acc: '0.873' is not of type 'number'\n"
+    assert _run_fresh(_JSONSCHEMA_LOADED, commands) == [
+        ["import", None, "", False],
+        ["validate", 0, "", False],
+        ["solve", 0, "", False],
+        ["validate", 1, error, True],
+        ["solve", 1, error, True],
+    ]
 
 
 def _malformed_configs() -> dict[str, dict]:
@@ -682,6 +724,12 @@ def _malformed_configs() -> dict[str, dict]:
     true_as_number["economics"]["r_max"] = True
     true_as_integer = copy.deepcopy(GOOD_CONFIG)
     true_as_integer["economics"]["n"] = True
+    fractional_integer = copy.deepcopy(GOOD_CONFIG)
+    fractional_integer["economics"]["n"] = 1.5
+    nan_integer = copy.deepcopy(GOOD_CONFIG)
+    nan_integer["economics"]["n"] = float("nan")
+    true_in_robustness = copy.deepcopy(GOOD_CONFIG)
+    true_in_robustness["robustness"][1][0] = True
     # the deeper fault is found first, but the shallower one is reported
     two_faults = copy.deepcopy(wrong_type)
     del two_faults["economics"]["r_max"]
@@ -694,6 +742,11 @@ def _malformed_configs() -> dict[str, dict]:
         "true as integer": true_as_integer,
         "not an array": dict(GOOD_CONFIG, models={"name": "standard", "acc": 0.9}),
         "two faults": two_faults,
+        "fractional integer": fractional_integer,
+        "nan as integer": nan_integer,
+        "no models": dict(GOOD_CONFIG, models=[]),
+        "true in robustness": true_in_robustness,
+        "economics as list": dict(GOOD_CONFIG, economics=list(GOOD_CONFIG["economics"].values())),
     }
 
 
@@ -704,11 +757,91 @@ def test_schema_errors_match_jsonschema_validate(case):
         jsonschema.validate(raw, CONFIG_SCHEMA)
     where = "/".join(str(p) for p in reference.value.absolute_path) or "<root>"
     expected = f"config field {where}: {reference.value.message}"
-    for _ in range(3):  # every call goes through the one module-level validator
+    for _ in range(3):  # every call words its error afresh
         with pytest.raises(ConfigError) as info:
             spec_from_dict(raw)
         assert str(info.value) == expected
         assert info.value.__cause__.absolute_path == reference.value.absolute_path
+
+
+def test_integral_float_n_loads(tmp_path):
+    raw = copy.deepcopy(GOOD_CONFIG)
+    raw["economics"]["n"] = 1e4  # the schema's integer type takes integral floats
+    assert load_spec(write_config(tmp_path, raw)).economics.n == 1e4
+
+
+# the keywords ``config._conforms`` implements
+CONFORMS_KEYWORDS = {"type", "required", "additionalProperties", "properties", "items", "minItems"}
+
+
+def _subschemas(schema: dict):
+    yield schema
+    for sub in schema.get("properties", {}).values():
+        yield from _subschemas(sub)
+    if "items" in schema:
+        yield from _subschemas(schema["items"])
+
+
+def test_config_schema_uses_only_keywords_the_fast_check_reads():
+    for node in _subschemas(CONFIG_SCHEMA):
+        assert node.keys() <= CONFORMS_KEYWORDS, node.keys() - CONFORMS_KEYWORDS
+        assert node["type"] in config._TYPES
+        assert node.get("additionalProperties", False) is False
+        assert isinstance(node.get("items", {}), dict)
+
+
+def _locations(value, path=()):
+    """The path to every dict entry and list item inside ``value``."""
+    if isinstance(value, list):
+        value = dict(enumerate(value))
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield (*path, key)
+            yield from _locations(item, (*path, key))
+
+
+def _at(value, path):
+    for key in path:
+        value = value[key]
+    return value
+
+
+SWAPS = (True, None, "x", 1e4, 1.5, float("nan"), float("inf"), [], {}, tuple)
+
+
+@st.composite
+def mutated_configs(draw):
+    """GOOD_CONFIG with one to three keys deleted, keys added, values swapped or sections emptied."""
+    raw = copy.deepcopy(GOOD_CONFIG)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["delete", "add", "swap", "empty"]))
+        paths = list(_locations(raw))
+        if kind == "empty":
+            raw[draw(st.sampled_from(["models", "attacks"]))] = []
+        elif kind == "add":
+            targets = [()] + [p for p in paths if isinstance(_at(raw, p), dict)]
+            _at(raw, draw(st.sampled_from(targets)))["unknown"] = 0.5
+        elif paths:
+            path = draw(st.sampled_from(paths))
+            parent = _at(raw, path[:-1])
+            if kind == "delete":
+                del parent[path[-1]]
+            else:
+                new = draw(st.sampled_from(SWAPS))
+                if new is tuple:
+                    old = parent[path[-1]]
+                    new = tuple(old) if isinstance(old, list) else (old,)
+                parent[path[-1]] = copy.deepcopy(new)
+    return raw
+
+
+_REFERENCE_VALIDATOR = validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+
+
+@hypothesis.settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@hypothesis.given(raw=mutated_configs())
+def test_fast_check_agrees_with_jsonschema(raw):
+    assert config._conforms(raw, CONFIG_SCHEMA) == _REFERENCE_VALIDATOR.is_valid(raw)
 
 
 # ---------------------------------------------------------------------------
