@@ -341,10 +341,16 @@ def build_region_map(
     """Rasterise case labels and place one overlay point per model pair (1, k).
 
     Parameters default to the spec's own economics; passing them
-    explicitly lets one map be drawn for a whole family of games.
+    explicitly lets one map be drawn for a whole family of games.  The adv
+    map reads only ``mu``, the def map only ``d_mu`` and ``r_max``; passing
+    one the map does not read raises ValueError.
     """
     if grid < 2:
         raise ValueError("grid must be at least 2")
+    unread = {"adv": {"delta_mu_def": d_mu, "r_max": r_max}, "def": {"mu_adv": mu}}
+    for key, value in unread.get(map_kind, {}).items():
+        if value is not None:
+            raise ValueError(f"{key} does not apply to the {map_kind} map")
     check_attack_index(spec, attack_index)
     rob = spec.robustness[:, attack_index]
     xs = np.linspace(0.0, 1.0, grid)

@@ -86,7 +86,7 @@ class _Table:
 
     keys: tuple[str, ...]
     values: list[list]
-    index: list[list[int]]
+    index: list[list[int] | range]
 
 
 def _json_chunks(obj) -> list[str]:
@@ -152,20 +152,20 @@ def _csv_field(value) -> str:
 def _emit(report: dict, args: argparse.Namespace, csv_table=None) -> None:
     # JSON is encoded whole before the destination is opened, so a report
     # that strict JSON cannot hold leaves no file and an empty stdout.  CSV
-    # is a _Table, or a header and lazy rows for csv.writer.
+    # is csv_table, one join per record: a column of finite floats or of ints
+    # takes its JSON texts, which are the reprs csv.writer writes, and any
+    # other column csv.writer's text of each distinct value.
     chunks = None if args.format == "csv" else _json_chunks(report)
     with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
         if chunks is not None:
             fh.writelines(chunks)
-        elif type(csv_table) is _Table:
-            csv.writer(fh, lineterminator="\n").writerow(csv_table.keys)
-            texts = [map(_csv_field, values) for values in csv_table.values]
-            fh.writelines(_records(csv_table, texts, [""] + [","] * (len(texts) - 1), "\n"))
         else:
-            header, rows = csv_table
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
+            csv.writer(fh, lineterminator="\n").writerow(csv_table.keys)
+            texts = [
+                type(values[0]) is not str and _texts(values) or map(_csv_field, values)
+                for values in csv_table.values
+            ]
+            fh.writelines(_records(csv_table, texts, [""] + [","] * (len(texts) - 1), "\n"))
 
 
 def _parse_probs(text: str) -> Strategy:
@@ -338,9 +338,9 @@ def cmd_ccr_curve(args: argparse.Namespace) -> int:
         "ccr": table,
         "intersections": intersections,
     }
-    names = list(spec.model_names())
-    rows = zip(report["rho"], *(table[name] for name in names))  # lazy: read by CSV only
-    _emit(report, args, csv_table=(["rho"] + names, rows))
+    columns = [report["rho"], *table.values()]
+    cells = _Table(("rho", *table), columns, [range(args.grid)] * len(columns))
+    _emit(report, args, csv_table=cells)
     return EXIT_OK
 
 

@@ -171,7 +171,7 @@ def spec_from_dict(raw: dict) -> GameSpec:
         r_minus_adv=e["R_minus_adv"],
         i_def=e["I_def"],
         i_adv=e["I_adv"],
-        n=e["n"],
+        n=int(e["n"]),  # the schema lets an integral float through
         r_max=e["r_max"],
     )
     return GameSpec(models=models, attacks=attacks, robustness=rows, economics=economics)

@@ -100,17 +100,9 @@ def verify_equilibrium(
 
 def pure_equilibria(m: PayoffMatrices, tol: float = DEFAULT_TOL) -> list[tuple[int, int]]:
     """All pure profiles that are mutual best responses within ``tol``."""
-    col_best_def = m.u_def.max(axis=0)  # defender's best against each column
-    row_best_adv = m.u_adv.max(axis=1)  # adversary's best against each row
-    out = []
-    for i in range(m.n_rows):
-        for j in range(m.n_cols):
-            if (
-                m.u_def[i, j] >= col_best_def[j] - tol
-                and m.u_adv[i, j] >= row_best_adv[i] - tol
-            ):
-                out.append((i, j))
-    return out
+    mask = m.u_def >= m.u_def.max(axis=0) - tol  # defender's best against each column
+    mask &= m.u_adv >= m.u_adv.max(axis=1)[:, None] - tol  # adversary's best against each row
+    return [(int(i), int(j)) for i, j in np.argwhere(mask)]
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,7 +4,9 @@ A plain copy of the per-pair support enumeration loop and of the max-min
 vertex search as they were before ``clfgame.solver`` stacked its
 indifference systems into batched LAPACK calls: every system is built
 and solved on its own.  ``tests/test_solver_batched.py`` requires the
-batched code to return bit-identical results.
+batched code to return bit-identical results.  ``pure_equilibria`` is the
+double loop that ``clfgame.solver.pure_equilibria`` replaced with one
+boolean mask; ``tests/test_solver_screens.py`` requires equal lists.
 """
 
 from __future__ import annotations
@@ -16,6 +18,20 @@ import numpy as np
 from clfgame.core import Strategy
 from clfgame.payoff import PayoffMatrices
 from clfgame.solver import DEFAULT_TOL, EquilibriumResult, verify_equilibrium
+
+
+def pure_equilibria(m: PayoffMatrices, tol: float = DEFAULT_TOL) -> list[tuple[int, int]]:
+    col_best_def = m.u_def.max(axis=0)  # defender's best against each column
+    row_best_adv = m.u_adv.max(axis=1)  # adversary's best against each row
+    out = []
+    for i in range(m.n_rows):
+        for j in range(m.n_cols):
+            if (
+                m.u_def[i, j] >= col_best_def[j] - tol
+                and m.u_adv[i, j] >= row_best_adv[i] - tol
+            ):
+                out.append((i, j))
+    return out
 
 
 def mixing_weights(a, rows, cols, tol, res_tol):

@@ -30,6 +30,24 @@ def test_ccr_curve_accepts_grid_two(capsys):
     assert '"rho": [\n    0.0,\n    1.0\n  ]' in out
 
 
+@pytest.mark.parametrize(
+    "map_kind, flag, key",
+    [("def", "--mu-adv", "mu_adv"), ("adv", "--delta-mu-def", "delta_mu_def"),
+     ("adv", "--r-max", "r_max")],
+)
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_region_map_refuses_an_override_its_map_does_not_read(
+    tmp_path, capsys, map_kind, flag, key, fmt
+):
+    spec = str(bundled_config_path("madry_wide"))
+    out_path = tmp_path / "map.out"
+    argv = ("--map", map_kind, flag, "0.5", "--format", fmt, "--out", str(out_path))
+    code, out, err = run_cli(capsys, "region-map", "--spec", spec, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {key} does not apply to the {map_kind} map\n"
+    assert not out_path.exists()
+
+
 def test_simulate_rejects_negative_seed(capsys):
     spec = str(bundled_config_path("madry_wide"))
     argv = ("--s-probs", "0.5,0.5", "--r-probs", "0.5,0.5", "--trials", "2", "--seed", "-1")

@@ -253,6 +253,27 @@ class TestTableCommands:
             0.15737051792828677, abs=1e-12
         )
 
+    @pytest.mark.parametrize("grid", [2, 31, 32, 1001])
+    def test_ccr_curve_csv_is_csv_writer_over_the_json_columns(self, tmp_path, capsys, grid):
+        names = ["a,b", 'say "hi"', " leading space"]
+        raw = copy.deepcopy(GOOD_CONFIG)
+        raw["models"] = [
+            {"name": name, "acc": acc} for name, acc in zip(names, [0.952, 0.873, 0.9])
+        ]
+        raw["robustness"] = [[0.035], [0.458], [0.2]]
+        argv = ("ccr-curve", "--spec", write_config(tmp_path, raw), "--grid", str(grid))
+        code, out_json, _ = run_cli(capsys, *argv)
+        assert code == 0
+        report = json.loads(out_json)
+        code, out_csv, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["rho", *names])
+        writer.writerows(zip(report["rho"], *(report["ccr"][name] for name in names)))
+        assert out_csv == buf.getvalue()
+        assert out_csv.startswith('rho,"a,b","say ""hi""", leading space\n')
+
     def test_region_map_csv_equals_json(self, tmp_path, capsys):
         path = write_config(tmp_path, GOOD_CONFIG)
         args = [
@@ -768,6 +789,22 @@ def test_integral_float_n_loads(tmp_path):
     raw = copy.deepcopy(GOOD_CONFIG)
     raw["economics"]["n"] = 1e4  # the schema's integer type takes integral floats
     assert load_spec(write_config(tmp_path, raw)).economics.n == 1e4
+
+
+@pytest.mark.parametrize("r_max", ["0.3", "1"])  # at 1 every one of the n inputs is attacked
+def test_simulate_report_is_the_same_however_the_config_spells_n(tmp_path, capsys, r_max):
+    written = []
+    for n in (10000, 1e4):
+        raw = copy.deepcopy(GOOD_CONFIG)
+        raw["economics"]["n"] = n
+        out_path = tmp_path / f"{n!r}.json"
+        argv = ("--s-probs", "0.5,0.5", "--r-probs", "0.5,0.5", "--trials", "3",
+                "--r-max", r_max, "--out", str(out_path))
+        path = write_config(tmp_path, raw, name=f"{n!r}-config.json")
+        assert run_cli(capsys, "simulate", "--spec", path, *argv) == (0, "", "")
+        written.append(out_path.read_bytes())
+    assert written[0] == written[1]
+    assert b'\n  "n": 10000,\n' in written[0]
 
 
 # the keywords ``config._conforms`` implements

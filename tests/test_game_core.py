@@ -135,6 +135,16 @@ REGION_CASES = [
 ]
 
 
+@pytest.mark.parametrize(
+    "map_kind, overrides, key",
+    [("def", {"mu": 0.5}, "mu_adv"), ("adv", {"d_mu": 0.0}, "delta_mu_def"),
+     ("adv", {"r_max": 0.5}, "r_max")],
+)
+def test_region_map_refuses_an_override_its_map_does_not_read(map_kind, overrides, key):
+    with pytest.raises(ValueError, match=f"^{key} does not apply to the {map_kind} map$"):
+        build_region_map(_bundled("madry_wide"), map_kind, grid=3, **overrides)
+
+
 @pytest.mark.parametrize("config, map_kind, overrides", REGION_CASES)
 def test_region_maps_match_the_per_cell_labels(config, map_kind, overrides):
     spec = _bundled(config)
