@@ -15,16 +15,17 @@ finite game theory on them:
   would sit on.
 
 Enumeration costs grow combinatorially, so the enumerating entry points
-refuse games with more than ``MAX_ENUM_ACTIONS`` actions per side.  Both
-enumerations solve their small indifference systems in stacked LAPACK
-batches (:func:`_stacked_indifference`) rather than one call at a time:
-a square chunk is one stacked solve, which leaves NaN rows for its
-singular systems.  Support enumeration screens the pairs in those batches
-(:func:`_screen`) before its exact per-pair path: overdetermined
-least-squares systems by a QR projection residual, the others by a
-pseudo-inverse residual, and the off-support conditions by two tests with
-margin ``tol + 1e-9 * scale``, one that needs no mixture and one on the
-mixtures of square systems.
+refuse games with more than ``MAX_ENUM_ACTIONS`` actions per side.  One
+kernel, :func:`_stacked_indifference`, builds every small indifference
+system of both enumerations and solves the square ones in stacked LAPACK
+batches, which leave NaN rows for singular systems; only the systems it
+leaves unsolved go through least squares, one at a time, on the exact
+per-pair path.  Support enumeration screens the pairs in those batches
+(:func:`_screen`) before that path: overdetermined least-squares systems
+by a QR projection residual, the others by a pseudo-inverse residual, and
+the off-support conditions by two tests with margin ``tol + 1e-9 *
+scale``, one that needs no mixture and one on the mixtures of square
+systems.
 """
 
 from __future__ import annotations
@@ -126,34 +127,22 @@ def _mixing_weights(
 ):
     """Weights over ``rows`` of ``a`` equalising the opponent's payoff on ``cols``.
 
-    Solves ``(x^T a)[j] = v`` for ``j in cols`` together with
-    ``sum x = 1``.  Returns ``(x_full, degenerate)`` with ``x_full``
-    strictly positive exactly on ``rows``, or None when the system is
-    inconsistent or the solution leaves the simplex face.  Non-square or
-    singular systems go through least squares (with a residual
-    consistency check) and are flagged degenerate.
+    Returns ``(x_full, degenerate)`` with ``x_full`` strictly positive
+    exactly on ``rows``, or None when the system is inconsistent or the
+    solution leaves the simplex face.  The system and its square solve
+    come from :func:`_stacked_indifference`, as a chunk of one pair; a
+    system it leaves unsolved (non-square or singular) goes through least
+    squares, with a residual consistency check, and is flagged degenerate.
     """
-    k, l = len(rows), len(cols)
-    sub = a[np.ix_(rows, cols)]
-    lhs = np.zeros((l + 1, k + 1))
-    lhs[:l, :k] = sub.T
-    lhs[:l, k] = -1.0
-    lhs[l, :k] = 1.0
-    rhs = np.zeros(l + 1)
-    rhs[l] = 1.0
-
-    degenerate = False
-    if l == k:
-        try:
-            sol = np.linalg.solve(lhs, rhs)
-        except np.linalg.LinAlgError:
-            degenerate = True
-            sol = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
-    else:
-        degenerate = True
+    k = len(rows)
+    [(_, lhs, sol, solved)] = _stacked_indifference(a, np.array([rows]), np.array([cols]))
+    lhs, sol, degenerate = lhs[0], sol[0], not solved[0]
+    if degenerate:
+        rhs = np.zeros(len(lhs))
+        rhs[-1] = 1.0
         sol = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
-    if degenerate and np.max(np.abs(lhs @ sol - rhs)) > res_tol:
-        return None
+        if np.max(np.abs(lhs @ sol - rhs)) > res_tol:
+            return None
 
     x = sol[:k]
     if np.any(x < -tol):
@@ -177,19 +166,20 @@ def _stacked_indifference(
     col_sets: np.ndarray,
     pairs: tuple[np.ndarray, np.ndarray] | None = None,
 ):
-    """The systems :func:`_mixing_weights` builds, for many pairs at once.
+    """Build the indifference systems of many pairs and solve the square ones.
 
-    Pair ``p`` joins ``row_sets[pairs[0][p]]`` with ``col_sets[pairs[1][p]]``;
-    by default every row set meets every column set, in the order of a
-    loop over row sets around a loop over column sets.  Yields
-    ``(rows, lhs, sol, solved)`` per chunk of at most ``_STACK_CHUNK``
-    pairs: the chunk's row sets ``(B, k)``, its systems
-    ``(B, l+1, k+1)``, and for square systems that ``np.linalg.solve``
-    accepts (``solved``) their solutions ``(B, k+1)``, bit-identical to
-    solving each system on its own; other rows of ``sol`` are NaN.
-
-    A square chunk is factorised once, in one stacked solve that leaves
-    NaN rows for its singular systems.
+    The only place the system is written: for a row set of size ``k`` and
+    a column set of size ``l``, ``(x^T a)[j] = v`` on the column set and
+    ``sum x = 1``, an ``(l+1, k+1)`` matrix in ``(x, v)`` whose right-hand
+    side is the last unit vector.  Pair ``p`` joins ``row_sets[pairs[0][p]]``
+    with ``col_sets[pairs[1][p]]``; by default every row set meets every
+    column set, in the order of a loop over row sets around a loop over
+    column sets.  Yields ``(rows, lhs, sol, solved)`` per chunk of at most
+    ``_STACK_CHUNK`` pairs: the chunk's row sets ``(B, k)``, its systems
+    ``(B, l+1, k+1)``, and for square systems numpy's solve accepts
+    (``solved``) their solutions ``(B, k+1)``, bit-identical to solving
+    each system on its own; other rows of ``sol`` are NaN.  A square chunk
+    is factorised once, in one stacked solve.
     """
     k, l = row_sets.shape[1], col_sets.shape[1]
     if pairs is None:
@@ -208,7 +198,7 @@ def _stacked_indifference(
         if k == l:
             rhs = np.zeros((b, k + 1, 1))
             rhs[:, k] = 1.0
-            # np.linalg.solve is this gufunc inside an errstate that raises
+            # numpy's public solve is this gufunc inside an errstate that raises
             # when any system has an exact zero pivot in getrf; called
             # directly it writes NaN for just those systems, so the chunk
             # is factorised once and the others keep their bytes

@@ -196,3 +196,28 @@ def test_zero_budget_game_reaches_the_per_pair_path_once_per_equilibrium(monkeyp
     found = support_enumeration(game)
     assert len(found) > 1
     assert sorted(calls) == [(e.row_support, e.col_support) for e in found]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_mixing_weights_matches_reference_on_every_pair(family):
+    # every pair on both sides, the pairs the screens drop included: the
+    # exact path's system and square solve come from the stacked kernel
+    rng = np.random.default_rng([20260823, FAMILIES.index(family)])
+    compared = 0
+    for n, m in SHAPES:
+        game = random_game(rng, family, n, m) if max(n, m) <= 4 else None
+        if game is None:
+            continue
+        scale = max(1.0, float(np.abs(game.u_adv).max()), float(np.abs(game.u_def).max()))
+        res_tol = max(solver.DEFAULT_TOL, 1e-11 * scale)
+        for a in (game.u_adv, game.u_def.T):
+            for rows in ref.nonempty_subsets(a.shape[0]):
+                for cols in ref.nonempty_subsets(a.shape[1]):
+                    got = solver._mixing_weights(a, rows, cols, solver.DEFAULT_TOL, res_tol)
+                    want = ref.mixing_weights(a, rows, cols, solver.DEFAULT_TOL, res_tol)
+                    assert (got is None) == (want is None)
+                    if want is not None:
+                        assert got[0].tobytes() == want[0].tobytes()
+                        assert type(got[1]) is bool and got[1] == want[1]
+                    compared += 1
+    assert compared > 1000

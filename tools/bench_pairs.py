@@ -26,6 +26,12 @@ parent's interquartile range.  ``--compare-seeds`` runs
 ``tools/compare_outputs.py`` on the two trees (two cycles) and records
 its summary.
 
+The session stops at the first run that exits non-zero or prints
+nothing.  The record is still written, with each run set's completed
+pairs and an ``aborted`` entry naming the failed run (side, workload,
+seed, trace, exit code and the last 20 lines of its stderr), and the
+exit status is 1.
+
 The trees and run copies live in a temporary directory that is removed
 at the end; the only file written is ``BENCH_<pr>.json`` at the repo
 root, so nothing under ``perfbench/`` is written.
@@ -83,6 +89,14 @@ def extract(side: str, dest: Path) -> Path:
     return dest
 
 
+class RunFailed(RuntimeError):
+    """A ``perfbench/run.py`` run exited non-zero or printed no result line."""
+
+    def __init__(self, returncode: int, stderr: str):
+        super().__init__(f"perfbench/run.py exited {returncode}")
+        self.returncode, self.stderr = returncode, stderr
+
+
 def run_once(tree: Path, work: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One ``perfbench/run.py`` run in a fresh copy of ``tree``; its final JSON line."""
     copy = Path(tempfile.mkdtemp(dir=work, prefix="run-"))
@@ -93,7 +107,7 @@ def run_once(tree: Path, work: Path, workload: str, seed: int, seconds: float, t
         done = subprocess.run(cmd, cwd=copy, capture_output=True, text=True)
         lines = done.stdout.strip().splitlines()
         if done.returncode != 0 or not lines:
-            raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {done.returncode}: {done.stderr}")
+            raise RunFailed(done.returncode, done.stderr)
         return json.loads(lines[-1])
     finally:
         shutil.rmtree(copy, ignore_errors=True)
@@ -198,19 +212,33 @@ def main() -> int:
         runs = []
         for workload, trace, seeds in args.run:
             results = {"parent": [], "change": []}
-            for k, seed in enumerate(seeds):
-                for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
-                    result = run_once(trees[side], work, workload, seed, seconds, trace)
-                    results[side].append(result)
-                    ops = result["metrics"].get("ops_per_s", {}).get("value")
-                    print(f"{workload} trace={trace} seed={seed} {side}: ops_per_s={ops} "
-                          f"failed={result['failed']}/{result['attempted']}", flush=True)
-            runs.append(summarise(workload, trace, seeds, results, better))
-        if args.claim:
-            record["claim"] = claim_verdict(runs, *args.claim.split(":"))
-        if args.compare_seeds:
-            record["outputs"] = compare_outputs(trees["parent"], trees["change"],
-                                                args.compare_seeds)
+            try:
+                for k, seed in enumerate(seeds):
+                    for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
+                        result = run_once(trees[side], work, workload, seed, seconds, trace)
+                        results[side].append(result)
+                        ops = result["metrics"].get("ops_per_s", {}).get("value")
+                        print(f"{workload} trace={trace} seed={seed} {side}: ops_per_s={ops} "
+                              f"failed={result['failed']}/{result['attempted']}", flush=True)
+            except RunFailed as failed:
+                record["aborted"] = {
+                    "side": side, "workload": workload, "seed": seed, "trace": trace,
+                    "exit_code": failed.returncode,
+                    "stderr_tail": failed.stderr.splitlines()[-20:],
+                }
+                print(f"{workload} trace={trace} seed={seed} {side}: {failed}", flush=True)
+            done = min(map(len, results.values()))  # pairs with both sides run
+            if done:
+                results = {side: got[:done] for side, got in results.items()}
+                runs.append(summarise(workload, trace, seeds[:done], results, better))
+            if "aborted" in record:
+                break
+        else:  # every run passed
+            if args.claim:
+                record["claim"] = claim_verdict(runs, *args.claim.split(":"))
+            if args.compare_seeds:
+                record["outputs"] = compare_outputs(trees["parent"], trees["change"],
+                                                    args.compare_seeds)
     finally:
         shutil.rmtree(work, ignore_errors=True)
     record["command"] = (f"python3 perfbench/run.py --workload W --seed N --seconds {seconds:g} "
@@ -219,6 +247,9 @@ def main() -> int:
     record["runs"] = runs
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
+    if "aborted" in record:
+        print(f"wrote {out}; aborted at the first failed run")
+        return 1
     print(f"wrote {out}" + (f"; claim met: {record['claim']['met']}" if args.claim else ""))
     return 0
 
