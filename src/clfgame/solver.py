@@ -25,11 +25,17 @@ per-pair path.  Support enumeration screens the pairs in those batches
 by a QR projection residual, the others by a pseudo-inverse residual, and
 the off-support conditions by two tests with margin ``tol + 1e-9 *
 scale``, one that needs no mixture and one on the mixtures of square
-systems.
+systems.  The dominance max-min search (:func:`_max_min_gap`) skips every
+support ``S`` whose pure bound ``min_j max_{i in S} g[i, j]`` lies more
+than its ``slack`` below the best value so far, before building a system:
+no mixture over ``S`` can score above that bound, a candidate's computed
+score exceeds it by at most about ``2 k eps max|g|``, far below the slack,
+so a skipped candidate scores below the best value and could not have won.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -287,7 +293,11 @@ def support_enumeration(m: PayoffMatrices, tol: float = DEFAULT_TOL) -> list[Equ
     LAPACK batches (:func:`_screen`), which drops only pairs the exact
     per-pair path would reject; every other pair goes through that path.
     The side whose systems are overdetermined is screened first, and the
-    other side only over the pairs it keeps.
+    other side only over the pairs it keeps.  Square classes start on the
+    side in ``U_def`` (the adversary's mixture, equalising the defender's
+    payoffs): in a zero-budget game ``U_adv`` is constant, so the side in
+    ``U_adv`` would reject nothing there.  Either order keeps the same
+    pairs, those both screens keep.
     """
     n, mm = m.n_rows, m.n_cols
     _guard_size(n, mm)
@@ -302,11 +312,13 @@ def support_enumeration(m: PayoffMatrices, tol: float = DEFAULT_TOL) -> list[Equ
         for col_sets in col_classes:
             # pair p joins row set p // Q with column set p % Q; the
             # overdetermined side is screened first and the other side
-            # builds systems for its survivors only
+            # builds systems for its survivors only.  A square class starts
+            # on the U_def side: in a zero-budget game U_adv is constant,
+            # so its side rejects no pair.
             q = len(col_sets)
             live = np.arange(len(row_sets) * q)
             sides = [(m.u_adv, row_sets, col_sets, False), (m.u_def.T, col_sets, row_sets, True)]
-            for a, own, opp, swap in sides[::-1] if k > col_sets.shape[1] else sides:
+            for a, own, opp, swap in sides[::-1] if k >= col_sets.shape[1] else sides:
                 if live.size:
                     i, j = np.divmod(live, q)
                     live = live[_screen(a, own, opp, tol, res_tol, margin, (j, i) if swap else (i, j))]
@@ -373,9 +385,17 @@ def _support_pair(
     )
 
 
+@functools.cache
 def _index_sets(size: int, k: int) -> np.ndarray:
-    """Every k-subset of ``range(size)``, one per row, in ``itertools`` order."""
-    return np.array(list(itertools.combinations(range(size), k)), dtype=np.intp).reshape(-1, k)
+    """Every k-subset of ``range(size)``, one per row, in ``itertools`` order.
+
+    Cached, since every action's max-min search and every size class of
+    support enumeration asks for the same few tables; the array is
+    read-only because every caller shares it.
+    """
+    sets = np.array(list(itertools.combinations(range(size), k)), dtype=np.intp).reshape(-1, k)
+    sets.setflags(write=False)
+    return sets
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +445,19 @@ def _max_min_gap(g: np.ndarray) -> tuple[float, np.ndarray | None]:
     mixtures) and evaluating the true objective at each candidate reaches
     the optimum.  The first candidate, in enumeration order, that attains
     the largest value wins.
+
+    A row set ``S`` is skipped, before any of its systems is built, when
+    its pure bound ``UB(S) = min_j max_{i in S} g[i, j]`` is below the
+    best value so far by more than ``slack``: no mixture over ``S``
+    scores above ``UB(S)``, and in floating point a candidate's own
+    ``(sigma @ g).min()`` exceeds it by at most about ``2 k eps max|g|``,
+    far below ``slack = 1e-9 * max(1, max|g|)``.  A skipped candidate
+    thus scores strictly below the best value: it could not have won, nor
+    could its batched score have lifted a chunk's best, and the result
+    does not depend on where the chunks break, so the winner and its bytes
+    are those of the full search.  With non-finite ``g`` (``slack`` is
+    infinite) or a NaN bound nothing is skipped.  Supports larger than the
+    column count have no square system and are not enumerated.
     """
     k, l = g.shape
     best_v = -np.inf
@@ -440,18 +473,20 @@ def _max_min_gap(g: np.ndarray) -> tuple[float, np.ndarray | None]:
     # ``slack`` of a chunk's best is scored again on its own, in order, so
     # the winner and its value are those of a one-at-a-time search.
     slack = 1e-9 * max(1.0, float(np.abs(g).max())) if np.isfinite(g).all() else np.inf
-    for size in range(2, k + 1):
-        for supports, _, sol, solved in _stacked_indifference(
-            g, _index_sets(k, size), _index_sets(l, size)
-        ):
+    for size in range(2, min(k, l) + 1):
+        row_sets, col_sets = _index_sets(k, size), _index_sets(l, size)
+        # the row sets whose pure bound could still reach the best value
+        kept = np.flatnonzero(~(g[row_sets].max(axis=1).min(axis=1) < best_v - slack))
+        q = len(col_sets)
+        pairs = (np.repeat(kept, q), np.tile(np.arange(q), len(kept)))
+        for supports, _, sol, solved in _stacked_indifference(g, row_sets, col_sets, pairs):
             w = np.clip(sol[:, :size], 0.0, None)
             total = w.sum(axis=1)
             live = np.flatnonzero(
                 solved & ~np.any(sol[:, :size] < -1e-12, axis=1) & ~(total <= 0.0)
             )
-            sigmas = np.zeros((len(live), k))
-            np.put_along_axis(sigmas, supports[live], w[live] / total[live, None], axis=1)
-            score = (sigmas @ g).min(axis=1)
+            x = w[live] / total[live, None]
+            score = np.einsum("bs,bsl->bl", x, g[supports[live]]).min(axis=1)
             top = np.max(score, initial=best_v, where=~np.isnan(score))
             for i in live[~(score < top - slack)]:
                 sigma = np.zeros(k)

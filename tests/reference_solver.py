@@ -6,7 +6,9 @@ indifference systems into batched LAPACK calls: every system is built
 and solved on its own.  ``tests/test_solver_batched.py`` requires the
 batched code to return bit-identical results.  ``pure_equilibria`` is the
 double loop that ``clfgame.solver.pure_equilibria`` replaced with one
-boolean mask; ``tests/test_solver_screens.py`` requires equal lists.
+boolean mask; ``tests/test_solver_screens.py`` requires equal lists, and
+solves each candidate of every support the batched max-min search skips
+with ``max_min_candidate``, one step of ``max_min_gap``.
 """
 
 from __future__ import annotations
@@ -155,28 +157,36 @@ def max_min_gap(g):
             best_v, best_sigma = v, sigma
     for size in range(2, k + 1):
         for support in itertools.combinations(range(k), size):
-            sub = g[list(support), :]
             for cols in itertools.combinations(range(l), size):
-                lhs = np.zeros((size + 1, size + 1))
-                lhs[:size, :size] = sub[:, list(cols)].T
-                lhs[:size, size] = -1.0
-                lhs[size, :size] = 1.0
-                rhs = np.zeros(size + 1)
-                rhs[size] = 1.0
-                try:
-                    sol = np.linalg.solve(lhs, rhs)
-                except np.linalg.LinAlgError:
+                sigma = max_min_candidate(g, support, cols)
+                if sigma is None:
                     continue
-                w = sol[:size]
-                if np.any(w < -1e-12):
-                    continue
-                w = np.clip(w, 0.0, None)
-                total = w.sum()
-                if total <= 0.0:
-                    continue
-                sigma = np.zeros(k)
-                sigma[list(support)] = w / total
                 v = float((sigma @ g).min())
                 if v > best_v:
                     best_v, best_sigma = v, sigma
     return best_v, best_sigma
+
+
+def max_min_candidate(g, support, cols):
+    """The mixture over ``support`` equalising ``cols``, or None where there is none."""
+    size = len(support)
+    lhs = np.zeros((size + 1, size + 1))
+    lhs[:size, :size] = g[np.ix_(support, cols)].T
+    lhs[:size, size] = -1.0
+    lhs[size, :size] = 1.0
+    rhs = np.zeros(size + 1)
+    rhs[size] = 1.0
+    try:
+        sol = np.linalg.solve(lhs, rhs)
+    except np.linalg.LinAlgError:
+        return None
+    w = sol[:size]
+    if np.any(w < -1e-12):
+        return None
+    w = np.clip(w, 0.0, None)
+    total = w.sum()
+    if total <= 0.0:
+        return None
+    sigma = np.zeros(g.shape[0])
+    sigma[list(support)] = w / total
+    return sigma

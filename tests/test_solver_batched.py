@@ -8,6 +8,7 @@ every system on its own.
 
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -221,3 +222,64 @@ def test_mixing_weights_matches_reference_on_every_pair(family):
                         assert type(got[1]) is bool and got[1] == want[1]
                     compared += 1
     assert compared > 1000
+
+
+@pytest.mark.parametrize("family", ["generic", "tied_columns", "integer"])
+def test_eight_by_eight_dominance_matches_reference(family, monkeypatch):
+    game = random_game(np.random.default_rng([20260824, FAMILIES.index(family)]), family, 8, 8)
+    assert_same_dominance(game, monkeypatch)
+
+
+def test_pure_bound_skips_most_max_min_systems_on_an_eight_by_eight_game(monkeypatch):
+    # every search of an 8 x 8 game without the bound would stack all
+    # sum_s C(k, s) C(l, s) square systems of its k x l gap matrix
+    searched, stacked_pairs = [], []
+    max_min_gap, stacked = solver._max_min_gap, solver._stacked_indifference
+
+    def recording_search(g):
+        searched.append(g.shape)
+        return max_min_gap(g)
+
+    def recording_stacked(a, row_sets, col_sets, pairs=None):
+        stacked_pairs.append(len(pairs[0]))
+        return stacked(a, row_sets, col_sets, pairs)
+
+    monkeypatch.setattr(solver, "_max_min_gap", recording_search)
+    monkeypatch.setattr(solver, "_stacked_indifference", recording_stacked)
+    game = random_game(np.random.default_rng(20260825), "generic", 8, 8)
+    for player in ("defender", "adversary"):
+        dominance_report(game, player)
+    unpruned = sum(math.comb(k, s) * math.comb(l, s) for k, l in searched for s in range(2, k + 1))
+    assert len(searched) >= 8
+    assert sum(stacked_pairs) <= 0.7 * unpruned
+
+
+def test_index_sets_are_shared_read_only_tables():
+    sets = solver._index_sets(6, 3)
+    assert sets is solver._index_sets(6, 3)
+    assert sets.tolist() == [list(c) for c in itertools.combinations(range(6), 3)]
+    with pytest.raises(ValueError):
+        sets[0, 0] = 5
+
+
+def _solved_bytes(g):
+    equilibria = [
+        (e.row_support, e.col_support, e.s.probs.tobytes(), e.r.probs.tobytes(),
+         np.float64(e.max_deviation_gain).tobytes(), e.degenerate)
+        for e in support_enumeration(g)
+    ]
+    dominance = [
+        (a.action, a.status, a.dominated_by, np.float64(a.margin).tobytes(),
+         None if a.mixture is None else a.mixture.tobytes())
+        for player in ("defender", "adversary")
+        for a in dominance_report(g, player).actions
+    ]
+    return equilibria, dominance
+
+
+def test_results_do_not_depend_on_the_index_set_cache():
+    rng = np.random.default_rng(20260826)
+    games = [random_game(rng, family, 5, 5) for family in FAMILIES]
+    first = [_solved_bytes(g) for g in games]
+    solver._index_sets.cache_clear()
+    assert [_solved_bytes(g) for g in games] == first

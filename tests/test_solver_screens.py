@@ -5,6 +5,9 @@ its stacked screens keep it.  A screen may keep pairs the exact path
 rejects, never the other way round: every pair it drops must be one on
 which ``_support_pair`` returns None.  On the same games, the boolean
 mask of ``pure_equilibria`` must list what the reference's loop lists.
+The dominance max-min search skips supports by a pure bound before
+building their systems; every candidate of a skipped support must score
+strictly below the search's result.
 """
 
 import itertools
@@ -84,3 +87,71 @@ def test_pure_equilibria_mask_lists_what_the_loop_lists(family, n, m, seed, tol,
     got = solver.pure_equilibria(game, tol)
     assert got == ref.pure_equilibria(game, tol)
     assert all(type(i) is int and type(j) is int for i, j in got)
+
+
+def _skipped_supports_lose(g):
+    """Run the max-min search on ``g`` and check every support it skipped.
+
+    Returns the number of supports of two or more rows whose pure bound
+    equals the search's value; the bound must keep all of them.
+    """
+    kept = {}
+    stacked = solver._stacked_indifference
+
+    def recording(a, row_sets, col_sets, pairs=None):
+        kept[row_sets.shape[1]] = set(pairs[0].tolist())
+        return stacked(a, row_sets, col_sets, pairs)
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(solver, "_stacked_indifference", recording)
+        best_v, _ = solver._max_min_gap(g)
+    k, l = g.shape
+    slack = 1e-9 * max(1.0, float(np.abs(g).max()))
+    assert sorted(kept) == list(range(2, min(k, l) + 1))
+    ties = 0
+    for size in kept:
+        for s, support in enumerate(itertools.combinations(range(k), size)):
+            bound = g[list(support)].max(axis=0).min()
+            ties += bound == best_v
+            if s in kept[size]:
+                continue
+            assert bound < best_v - slack, (support, bound, best_v)
+            for cols in itertools.combinations(range(l), size):
+                sigma = ref.max_min_candidate(g, support, cols)
+                assert sigma is None or float((sigma @ g).min()) < best_v, (support, cols)
+    return ties
+
+
+@hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@hypothesis.given(**GAMES)
+def test_max_min_search_skips_only_losing_supports_in_games(family, n, m, seed, tol, jitter):
+    game = _game(np.random.default_rng(seed), family, n, m, tol, jitter)
+    for p in (game.u_def, game.u_adv.T):
+        for action in range(len(p)):
+            others = [i for i in range(len(p)) if i != action]
+            if others:
+                _skipped_supports_lose(p[others] - p[action])
+
+
+@hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@hypothesis.given(
+    entries=st.sampled_from(["normal", "integer", "tied_columns"]),
+    k=st.integers(2, 7),
+    l=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_max_min_search_skips_only_losing_supports_in_wide_gaps(entries, k, l, seed):
+    g = np.random.default_rng(seed).standard_normal((k, l))
+    if entries == "integer":
+        g = np.round(2.0 * g)
+    elif entries == "tied_columns" and l >= 2:
+        g[:, 1] = g[:, 0]
+    _skipped_supports_lose(g)
+
+
+def test_max_min_search_keeps_supports_whose_bound_ties_the_value():
+    # small integer entries make a support's pure bound equal the search's
+    # value often; the bound must keep every such support
+    rng = np.random.default_rng(20260827)
+    ties = sum(_skipped_supports_lose(np.round(2.0 * rng.standard_normal((k, 6)))) for k in (3, 4, 5) * 4)
+    assert ties > 0
