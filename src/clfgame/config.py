@@ -23,6 +23,8 @@ from .core import (
     validate_spec,
 )
 
+_ECONOMICS = ("R_plus_def", "R_minus_def", "R_plus_adv", "R_minus_adv", "I_def", "I_adv", "n", "r_max")
+
 CONFIG_SCHEMA = {
     "type": "object",
     "required": ["models", "attacks", "robustness", "economics"],
@@ -61,27 +63,9 @@ CONFIG_SCHEMA = {
         },
         "economics": {
             "type": "object",
-            "required": [
-                "R_plus_def",
-                "R_minus_def",
-                "R_plus_adv",
-                "R_minus_adv",
-                "I_def",
-                "I_adv",
-                "n",
-                "r_max",
-            ],
+            "required": list(_ECONOMICS),
             "additionalProperties": False,
-            "properties": {
-                "R_plus_def": {"type": "number"},
-                "R_minus_def": {"type": "number"},
-                "R_plus_adv": {"type": "number"},
-                "R_minus_adv": {"type": "number"},
-                "I_def": {"type": "number"},
-                "I_adv": {"type": "number"},
-                "n": {"type": "integer"},
-                "r_max": {"type": "number"},
-            },
+            "properties": {key: {"type": "integer" if key == "n" else "number"} for key in _ECONOMICS},
         },
     },
 }
@@ -98,27 +82,34 @@ _TYPES = {
 }
 
 
-def _conforms(value, schema: dict) -> bool:
-    """Whether ``value`` matches ``schema``, as jsonschema would judge it.
+def _faults(value, schema: dict, path: tuple = ()):
+    """Yield ``(path, message)`` for every place ``value`` breaks ``schema``.
 
-    Reads only the keywords CONFIG_SCHEMA uses: type, required,
-    additionalProperties (false), properties, items and minItems.
+    Reads only the keywords CONFIG_SCHEMA uses, in this order: type,
+    required, additionalProperties (false), properties (in the value's
+    key order), minItems, items (which every array schema has).  The
+    messages are jsonschema's wording.
     """
     if not _TYPES[schema["type"]](value):
-        return False
-    if isinstance(value, dict):
+        yield path, f"{value!r} is not of type {schema['type']!r}"
+    elif isinstance(value, dict):
         props = schema.get("properties", {})
-        return (
-            all(key in value for key in schema.get("required", ()))
-            and (schema.get("additionalProperties", True) or value.keys() <= props.keys())
-            and all(_conforms(v, props[k]) for k, v in value.items() if k in props)
-        )
-    if isinstance(value, list):
-        items = schema.get("items")
-        return len(value) >= schema.get("minItems", 0) and (
-            items is None or all(_conforms(v, items) for v in value)
-        )
-    return True
+        for key in schema.get("required", ()):
+            if key not in value:
+                yield path, f"{key!r} is a required property"
+        extras = sorted(value.keys() - props.keys(), key=str)
+        if extras and schema.get("additionalProperties", True) is False:
+            names = ", ".join(map(repr, extras))
+            verb = "was" if len(extras) == 1 else "were"
+            yield path, f"Additional properties are not allowed ({names} {verb} unexpected)"
+        for key, item in value.items():
+            if key in props:
+                yield from _faults(item, props[key], (*path, key))
+    elif isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            yield path, f"{value!r} should be non-empty"  # CONFIG_SCHEMA's minItems is 1
+        for index, item in enumerate(value):
+            yield from _faults(item, schema["items"], (*path, index))
 
 
 class ConfigError(ValueError):
@@ -135,17 +126,11 @@ class SpecValidationError(ValueError):
 
 def spec_from_dict(raw: dict) -> GameSpec:
     """Build a GameSpec from parsed config JSON (appends the no-attack action)."""
-    if not _conforms(raw, CONFIG_SCHEMA):
-        # Imported here, so a valid config never loads jsonschema.  It words the
-        # error ``jsonschema.validate(raw, CONFIG_SCHEMA)`` would raise, and has
-        # the last word: a config it finds no fault in is accepted.
-        from jsonschema.exceptions import best_match
-        from jsonschema.validators import validator_for
-
-        err = best_match(validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA).iter_errors(raw))
-        if err is not None:
-            where = "/".join(str(p) for p in err.absolute_path) or "<root>"
-            raise ConfigError(f"config field {where}: {err.message}") from err
+    # the shallowest fault, and the first in walk order among equally shallow ones
+    fault = min(_faults(raw, CONFIG_SCHEMA), key=lambda f: len(f[0]), default=None)
+    if fault is not None:
+        where = "/".join(map(str, fault[0])) or "<root>"
+        raise ConfigError(f"config field {where}: {fault[1]}")
     models = tuple(
         ModelProfile(
             name=m["name"], acc=m["acc"], ongoing_cost=m.get("ongoing_cost", 0.0)
@@ -180,13 +165,14 @@ def spec_from_dict(raw: dict) -> GameSpec:
 def read_config(path: str | Path) -> dict:
     """Parse a config file into its top-level JSON object.
 
-    Raises ConfigError for invalid JSON (with line and column) or a
-    top-level value that is not an object, and lets OSError through for
-    unreadable paths.
+    Raises ConfigError for text that is not UTF-8, invalid JSON (with line
+    and column) or a top-level value that is not an object, and lets
+    OSError through for unreadable paths.
     """
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        raw = json.loads(text)
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: {err}") from err
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err
     if not isinstance(raw, dict):

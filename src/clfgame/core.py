@@ -108,7 +108,10 @@ class GameSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "models", tuple(self.models))
         object.__setattr__(self, "attacks", tuple(self.attacks))
-        rob = np.array(self.robustness, dtype=float)
+        try:
+            rob = np.array(self.robustness, dtype=float)
+        except OverflowError:
+            rob = np.vectorize(_as_float, otypes=[float])(np.array(self.robustness, dtype=object))
         if rob.ndim == 1:
             # single real attack given as a flat column
             rob = rob.reshape(-1, 1)
@@ -202,11 +205,15 @@ class Strategy:
         return k if self.probs[k] == 1.0 else None
 
 
-def _is_finite(value: float) -> bool:
+def _as_float(value) -> float:
     try:
-        return math.isfinite(value)
+        return float(value)
     except OverflowError:  # an integer beyond the float range
-        return False
+        return math.inf if value > 0 else -math.inf
+
+
+def _is_finite(value: float) -> bool:
+    return math.isfinite(_as_float(value))
 
 
 @dataclass(frozen=True)

@@ -456,8 +456,12 @@ def _max_min_gap(g: np.ndarray) -> tuple[float, np.ndarray | None]:
     could its batched score have lifted a chunk's best, and the result
     does not depend on where the chunks break, so the winner and its bytes
     are those of the full search.  With non-finite ``g`` (``slack`` is
-    infinite) or a NaN bound nothing is skipped.  Supports larger than the
-    column count have no square system and are not enumerated.
+    infinite) or a NaN bound nothing is skipped.  If every row of a finite
+    ``g`` is constant (as in a zero-budget game), the best pure row is the
+    exact optimum and no support of two or more rows is searched; the full
+    search could report a mixture scoring one ulp above it by rounding.
+    Supports larger than the column count have no square system and are
+    not enumerated.
     """
     k, l = g.shape
     best_v = -np.inf
@@ -468,11 +472,14 @@ def _max_min_gap(g: np.ndarray) -> tuple[float, np.ndarray | None]:
             sigma = np.zeros(k)
             sigma[idx] = 1.0
             best_v, best_sigma = v, sigma
+    finite = bool(np.isfinite(g).all())
+    if finite and (g == g[:, :1]).all():
+        return best_v, best_sigma
     # A stacked score differs from the candidate's own ``(sigma @ g).min()``
     # by summation order alone, far below ``slack``; every candidate within
     # ``slack`` of a chunk's best is scored again on its own, in order, so
     # the winner and its value are those of a one-at-a-time search.
-    slack = 1e-9 * max(1.0, float(np.abs(g).max())) if np.isfinite(g).all() else np.inf
+    slack = 1e-9 * max(1.0, float(np.abs(g).max())) if finite else np.inf
     for size in range(2, min(k, l) + 1):
         row_sets, col_sets = _index_sets(k, size), _index_sets(l, size)
         # the row sets whose pure bound could still reach the best value

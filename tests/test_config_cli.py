@@ -699,39 +699,31 @@ def test_commands_never_check_a_schema(tmp_path):
     assert _run_fresh(_COUNT_SCHEMA_CHECKS, commands) == {"codes": [0] * 12, "checked": 0}
 
 
-# Notes, in a fresh interpreter, whether jsonschema is loaded after the
-# import and after each command, with the command's exit code and stderr.
-_JSONSCHEMA_LOADED = """
+# Runs each command in a fresh interpreter that cannot import jsonschema,
+# noting its exit code and stderr.
+_WITHOUT_JSONSCHEMA = """
 import contextlib, io, json, sys
+sys.modules["jsonschema"] = None  # makes every import of it raise ImportError
 from clfgame import cli
 
-seen = [["import", None, "", "jsonschema" in sys.modules]]
+seen = []
 for argv in json.loads(sys.argv[1]):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    seen.append([argv[0], code, err.getvalue(), "jsonschema" in sys.modules])
+        seen.append([cli.main(argv), err.getvalue()])
 print(json.dumps(seen))
 """
 
 
-def test_jsonschema_is_imported_only_to_word_a_config_error(tmp_path):
+def test_commands_run_and_word_config_errors_without_jsonschema(tmp_path):
     good = write_config(tmp_path, GOOD_CONFIG)
-    bad = write_config(tmp_path, _malformed_configs()["wrong type"], name="bad.json")
-    commands = [
-        ["validate", "--spec", good],
-        ["solve", "--spec", good],
-        ["validate", "--spec", bad],
-        ["solve", "--spec", bad],
-    ]
-    error = "error: config field models/1/acc: '0.873' is not of type 'number'\n"
-    assert _run_fresh(_JSONSCHEMA_LOADED, commands) == [
-        ["import", None, "", False],
-        ["validate", 0, "", False],
-        ["solve", 0, "", False],
-        ["validate", 1, error, True],
-        ["solve", 1, error, True],
-    ]
+    commands = [[name, "--spec", good, *rest] for name, *rest in ALL_COMMANDS]
+    expected = [[0, ""]] * len(ALL_COMMANDS)
+    for case, raw in _malformed_configs().items():
+        bad = write_config(tmp_path, raw, name=f"{case}.json")
+        commands += [["validate", "--spec", bad], ["solve", "--spec", bad]]
+        expected += [[1, f"error: {MALFORMED_CONFIG_ERRORS[case]}\n"]] * 2
+    assert _run_fresh(_WITHOUT_JSONSCHEMA, commands) == expected
 
 
 def _malformed_configs() -> dict[str, dict]:
@@ -771,6 +763,25 @@ def _malformed_configs() -> dict[str, dict]:
     }
 
 
+MALFORMED_CONFIG_ERRORS = {
+    "missing key": "config field economics: 'r_max' is a required property",
+    "missing section": "config field <root>: 'robustness' is a required property",
+    "wrong type": "config field models/1/acc: '0.873' is not of type 'number'",
+    "extra key": "config field attacks/0: Additional properties are not allowed ('budget' was unexpected)",
+    "true as number": "config field economics/r_max: True is not of type 'number'",
+    "true as integer": "config field economics/n: True is not of type 'integer'",
+    "not an array": "config field models: {'name': 'standard', 'acc': 0.9} is not of type 'array'",
+    "two faults": "config field economics: 'r_max' is a required property",
+    "fractional integer": "config field economics/n: 1.5 is not of type 'integer'",
+    "nan as integer": "config field economics/n: nan is not of type 'integer'",
+    "no models": "config field models: [] should be non-empty",
+    "true in robustness": "config field robustness/1/0: True is not of type 'number'",
+    "economics as list": (
+        "config field economics: [1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1000, 1.0] is not of type 'object'"
+    ),
+}
+
+
 @pytest.mark.parametrize("case", list(_malformed_configs()))
 def test_schema_errors_match_jsonschema_validate(case):
     raw = _malformed_configs()[case]
@@ -781,8 +792,17 @@ def test_schema_errors_match_jsonschema_validate(case):
     for _ in range(3):  # every call words its error afresh
         with pytest.raises(ConfigError) as info:
             spec_from_dict(raw)
-        assert str(info.value) == expected
-        assert info.value.__cause__.absolute_path == reference.value.absolute_path
+        assert str(info.value) == expected == MALFORMED_CONFIG_ERRORS[case]
+
+
+def test_equally_shallow_faults_report_the_first_found():
+    # two faults three levels down: the one in ``models`` comes first in the file
+    raw = copy.deepcopy(GOOD_CONFIG)
+    raw["models"][0]["acc"] = "high"
+    raw["robustness"][1][0] = True
+    with pytest.raises(ConfigError) as info:
+        spec_from_dict(raw)
+    assert str(info.value) == "config field models/0/acc: 'high' is not of type 'number'"
 
 
 def test_integral_float_n_loads(tmp_path):
@@ -807,7 +827,7 @@ def test_simulate_report_is_the_same_however_the_config_spells_n(tmp_path, capsy
     assert b'\n  "n": 10000,\n' in written[0]
 
 
-# the keywords ``config._conforms`` implements
+# the keywords ``config._faults`` implements
 CONFORMS_KEYWORDS = {"type", "required", "additionalProperties", "properties", "items", "minItems"}
 
 
@@ -824,7 +844,8 @@ def test_config_schema_uses_only_keywords_the_fast_check_reads():
         assert node.keys() <= CONFORMS_KEYWORDS, node.keys() - CONFORMS_KEYWORDS
         assert node["type"] in config._TYPES
         assert node.get("additionalProperties", False) is False
-        assert isinstance(node.get("items", {}), dict)
+        assert node["type"] != "array" or isinstance(node["items"], dict)
+        assert node.get("minItems", 1) == 1  # the only count the walk words
 
 
 def _locations(value, path=()):
@@ -878,7 +899,19 @@ _REFERENCE_VALIDATOR = validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
 @hypothesis.settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @hypothesis.given(raw=mutated_configs())
 def test_fast_check_agrees_with_jsonschema(raw):
-    assert config._conforms(raw, CONFIG_SCHEMA) == _REFERENCE_VALIDATOR.is_valid(raw)
+    errors = list(_REFERENCE_VALIDATOR.iter_errors(raw))
+    assert any(config._faults(raw, CONFIG_SCHEMA)) == bool(errors)
+    if errors:
+        # the reported fault is one of jsonschema's shallowest, worded as it words it
+        depth = min(len(e.absolute_path) for e in errors)
+        shallowest = {
+            f"config field {'/'.join(map(str, e.absolute_path)) or '<root>'}: {e.message}"
+            for e in errors
+            if len(e.absolute_path) == depth
+        }
+        with pytest.raises(ConfigError) as info:
+            spec_from_dict(raw)
+        assert str(info.value) in shallowest
 
 
 # ---------------------------------------------------------------------------
@@ -937,6 +970,28 @@ def test_n_beyond_float_range_is_rejected(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert "economics: n must be finite" in err
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_robustness_beyond_float_range_is_rejected(tmp_path, capsys, sign):
+    huge = copy.deepcopy(GOOD_CONFIG)
+    huge["robustness"][1][0] = sign * 10**400
+    path = write_config(tmp_path, huge)
+
+    code, out, _ = run_cli(capsys, "validate", "--spec", path)
+    assert code == 1
+    assert json.loads(out)["violations"] == ["robustness must be finite"]
+
+    assert run_cli(capsys, "solve", "--spec", path) == (1, "", "error: robustness must be finite\n")
+
+
+def test_config_that_is_not_utf8_is_named_in_the_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b"\xff{}")
+    for command in ("validate", "solve"):
+        code, out, err = run_cli(capsys, command, "--spec", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xff")
 
 
 @pytest.mark.parametrize(

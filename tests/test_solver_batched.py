@@ -224,7 +224,7 @@ def test_mixing_weights_matches_reference_on_every_pair(family):
     assert compared > 1000
 
 
-@pytest.mark.parametrize("family", ["generic", "tied_columns", "integer"])
+@pytest.mark.parametrize("family", ["generic", "tied_columns", "integer", "zero_budget"])
 def test_eight_by_eight_dominance_matches_reference(family, monkeypatch):
     game = random_game(np.random.default_rng([20260824, FAMILIES.index(family)]), family, 8, 8)
     assert_same_dominance(game, monkeypatch)
@@ -252,6 +252,29 @@ def test_pure_bound_skips_most_max_min_systems_on_an_eight_by_eight_game(monkeyp
     unpruned = sum(math.comb(k, s) * math.comb(l, s) for k, l in searched for s in range(2, k + 1))
     assert len(searched) >= 8
     assert sum(stacked_pairs) <= 0.7 * unpruned
+
+
+def test_zero_budget_dominance_stacks_no_systems(monkeypatch):
+    # every row of a zero-budget game's gap matrices is constant, so each
+    # square system of two or more rows is singular
+    def no_stacking(*args):
+        raise AssertionError("a system stacked for a gap matrix of constant rows")
+
+    monkeypatch.setattr(solver, "_stacked_indifference", no_stacking)
+    game = random_game(np.random.default_rng(20260828), "zero_budget", 8, 8)
+    for player in ("defender", "adversary"):
+        dominance_report(game, player)
+
+
+def test_constant_rows_give_the_best_pure_row():
+    # the search stops after the pure rows; the full search solves a few of
+    # these singular systems and here scores a mixture of the three top rows
+    # one ulp above their constant
+    top, low = -1.842649543609305, -2.515994215623561
+    g = np.repeat(np.array([[top], [low], [top], [low], [top]]), 8, axis=1)
+    v, sigma = solver._max_min_gap(g)
+    assert v == top
+    assert sigma.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
 
 
 def test_index_sets_are_shared_read_only_tables():
