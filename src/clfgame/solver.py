@@ -18,19 +18,12 @@ Enumeration costs grow combinatorially, so the enumerating entry points
 refuse games with more than ``MAX_ENUM_ACTIONS`` actions per side.  One
 kernel, :func:`_stacked_indifference`, builds every small indifference
 system of both enumerations and solves the square ones in stacked LAPACK
-batches, which leave NaN rows for singular systems; only the systems it
-leaves unsolved go through least squares, one at a time, on the exact
-per-pair path.  Support enumeration screens the pairs in those batches
-(:func:`_screen`) before that path: overdetermined least-squares systems
-by a QR projection residual, the others by a pseudo-inverse residual, and
-the off-support conditions by two tests with margin ``tol + 1e-9 *
-scale``, one that needs no mixture and one on the mixtures of square
-systems.  The dominance max-min search (:func:`_max_min_gap`) skips every
-support ``S`` whose pure bound ``min_j max_{i in S} g[i, j]`` lies more
-than its ``slack`` below the best value so far, before building a system:
-no mixture over ``S`` can score above that bound, a candidate's computed
-score exceeds it by at most about ``2 k eps max|g|``, far below the slack,
-so a skipped candidate scores below the best value and could not have won.
+batches.  Support enumeration screens each size class's pairs in those
+batches (:func:`_screen`) and decides the survivors in one stacked pass
+per side (:func:`_mixing_weights`), whose unsolved systems go through one
+stacked least-squares call per batch; only the pairs both sides accept are
+checked one at a time.  The dominance max-min search (:func:`_max_min_gap`)
+skips, before building any system, every support that a pure bound rules out.
 """
 
 from __future__ import annotations
@@ -126,44 +119,62 @@ class EquilibriumResult:
 
 def _mixing_weights(
     a: np.ndarray,
-    rows: tuple[int, ...],
-    cols: tuple[int, ...],
+    own: np.ndarray,
+    opp: np.ndarray,
+    pairs: tuple[np.ndarray, np.ndarray],
     tol: float,
     res_tol: float,
-):
-    """Weights over ``rows`` of ``a`` equalising the opponent's payoff on ``cols``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weights over row sets of ``a`` equalising the opponent's payoff on column sets.
 
-    Returns ``(x_full, degenerate)`` with ``x_full`` strictly positive
-    exactly on ``rows``, or None when the system is inconsistent or the
-    solution leaves the simplex face.  The system and its square solve
-    come from :func:`_stacked_indifference`, as a chunk of one pair; a
-    system it leaves unsolved (non-square or singular) goes through least
-    squares, with a residual consistency check, and is flagged degenerate.
+    Pair ``p`` joins the row set ``own[pairs[0][p]]`` with the column set
+    ``opp[pairs[1][p]]``.  Returns ``(accept, x_full, degenerate)`` per
+    pair: an accepted pair's ``x_full`` row is strictly positive exactly on
+    its row set; a pair is rejected when its system is inconsistent or its
+    solution leaves the simplex face.  Systems and square solves come from
+    one :func:`_stacked_indifference` call; the systems it leaves unsolved
+    (non-square or singular) are ``degenerate`` and go through
+    :func:`_least_squares`, one call per chunk.
     """
-    k = len(rows)
-    [(_, lhs, sol, solved)] = _stacked_indifference(a, np.array([rows]), np.array([cols]))
-    lhs, sol, degenerate = lhs[0], sol[0], not solved[0]
-    if degenerate:
-        rhs = np.zeros(len(lhs))
-        rhs[-1] = 1.0
-        sol = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
-        if np.max(np.abs(lhs @ sol - rhs)) > res_tol:
-            return None
+    k, n_pairs = own.shape[1], len(pairs[0])
+    accept = np.ones(n_pairs, dtype=bool)
+    x_full = np.zeros((n_pairs, a.shape[0]))
+    degenerate = np.zeros(n_pairs, dtype=bool)
+    lo = 0
+    for rows, lhs, sol, solved in _stacked_indifference(a, own, opp, pairs):
+        hi = lo + len(rows)
+        ok = accept[lo:hi]  # a view: the tests below write into accept
+        ls = degenerate[lo:hi] = ~solved
+        if ls.any():
+            sol[ls], ok[ls] = _least_squares(lhs[ls], res_tol)
+        x = sol[:, :k]
+        ok &= ~(x < -tol).any(axis=1)
+        x = x.clip(0.0)
+        total = x.sum(axis=1, keepdims=True)
+        positive = total > 0.0
+        ok &= positive[:, 0]
+        np.divide(x, total, out=x, where=positive)  # no 0 / 0 on rejected pairs
+        # a boundary solution; the smaller support enumerates it on its own
+        ok &= ~(x <= tol).any(axis=1)
+        x_full[np.arange(lo, hi)[:, None], rows] = x
+        lo = hi
+    return accept, x_full, degenerate
 
-    x = sol[:k]
-    if np.any(x < -tol):
-        return None
-    x = np.clip(x, 0.0, None)
-    total = x.sum()
-    if total <= 0.0:
-        return None
-    x = x / total
-    if np.any(x <= tol):
-        # boundary solution; the smaller support enumerates it on its own
-        return None
-    x_full = np.zeros(a.shape[0])
-    x_full[list(rows)] = x
-    return x_full, degenerate
+
+def _least_squares(systems: np.ndarray, res_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.lstsq`` on stacked systems whose right-hand side is the last unit vector.
+
+    One gufunc call, with ``lstsq``'s default cutoff, gives each system the
+    bytes ``lstsq`` gives it alone.  Also returns which residuals are within ``res_tol``.
+    """
+    rhs = np.zeros((*systems.shape[:2], 1))
+    rhs[:, -1] = 1.0
+    rcond = np.finfo(float).eps * max(systems.shape[1:])
+    # numpy's own error state, but an SVD that does not converge raises
+    # FloatingPointError here instead of LinAlgError
+    with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+        fit = _umath_linalg.lstsq(systems, rhs, rcond, signature="ddd->ddid")[0]
+    return fit[..., 0], ~(np.abs(systems @ fit - rhs).max(axis=(1, 2)) > res_tol)
 
 
 def _stacked_indifference(
@@ -223,7 +234,7 @@ def _screen(
     margin: float,
     pairs: tuple[np.ndarray, np.ndarray],
 ) -> np.ndarray:
-    """False for the ``pairs`` on which :func:`_support_pair` surely returns None.
+    """False for the ``pairs`` that the exact path surely rejects.
 
     One side of the exact path: weights over a row set of ``a`` that
     equalise the opponent's payoff ``x @ a`` across a column set, then no
@@ -290,14 +301,17 @@ def support_enumeration(m: PayoffMatrices, tol: float = DEFAULT_TOL) -> list[Equ
     the degenerate flag.
 
     Each (|I|, |J|) size class is first screened on both sides in stacked
-    LAPACK batches (:func:`_screen`), which drops only pairs the exact
-    per-pair path would reject; every other pair goes through that path.
-    The side whose systems are overdetermined is screened first, and the
-    other side only over the pairs it keeps.  Square classes start on the
-    side in ``U_def`` (the adversary's mixture, equalising the defender's
-    payoffs): in a zero-budget game ``U_adv`` is constant, so the side in
-    ``U_adv`` would reject nothing there.  Either order keeps the same
-    pairs, those both screens keep.
+    LAPACK batches (:func:`_screen`), which drops only pairs the exact path
+    would reject.  The side whose systems are overdetermined is screened
+    first, and the other side only over the pairs it keeps.  Square classes
+    start on the side in ``U_def`` (the adversary's mixture, equalising the
+    defender's payoffs): in a zero-budget game ``U_adv`` is constant, so
+    the side in ``U_adv`` would reject nothing there.  Either order keeps
+    the same pairs, those both screens keep.  The exact path then decides
+    the survivors in one stacked pass per side (:func:`_mixing_weights`),
+    the ``U_def`` side over the pairs the ``U_adv`` side accepts; only a
+    pair both accept reaches the off-support checks and certification
+    (:func:`_support_pair`), one pair at a time.
     """
     n, mm = m.n_rows, m.n_cols
     _guard_size(n, mm)
@@ -310,11 +324,7 @@ def support_enumeration(m: PayoffMatrices, tol: float = DEFAULT_TOL) -> list[Equ
     for k in range(1, n + 1):
         row_sets = _index_sets(n, k)
         for col_sets in col_classes:
-            # pair p joins row set p // Q with column set p % Q; the
-            # overdetermined side is screened first and the other side
-            # builds systems for its survivors only.  A square class starts
-            # on the U_def side: in a zero-budget game U_adv is constant,
-            # so its side rejects no pair.
+            # pair p joins row set p // q with column set p % q
             q = len(col_sets)
             live = np.arange(len(row_sets) * q)
             sides = [(m.u_adv, row_sets, col_sets, False), (m.u_def.T, col_sets, row_sets, True)]
@@ -322,10 +332,18 @@ def support_enumeration(m: PayoffMatrices, tol: float = DEFAULT_TOL) -> list[Equ
                 if live.size:
                     i, j = np.divmod(live, q)
                     live = live[_screen(a, own, opp, tol, res_tol, margin, (j, i) if swap else (i, j))]
-            for p in live:
-                rows = tuple(row_sets[p // q].tolist())
-                cols = tuple(col_sets[p % q].tolist())
-                found = _support_pair(m, rows, cols, tol, res_tol)
+            if not live.size:
+                continue
+            # the exact path, on the pairs both screens keep
+            i, j = np.divmod(live, q)
+            ok, s_full, deg_s = _mixing_weights(m.u_adv, row_sets, col_sets, (i, j), tol, res_tol)
+            i, j, s_full, deg_s = i[ok], j[ok], s_full[ok], deg_s[ok]
+            ok, r_full, deg_r = _mixing_weights(m.u_def.T, col_sets, row_sets, (j, i), tol, res_tol)
+            for p in np.flatnonzero(ok):
+                rows = tuple(row_sets[i[p]].tolist())
+                cols = tuple(col_sets[j[p]].tolist())
+                degenerate = bool(deg_s[p] or deg_r[p])
+                found = _support_pair(m, rows, cols, s_full[p], r_full[p], degenerate, tol)
                 if found is not None:
                     results.append(found)
     results.sort(key=lambda e: (e.row_support, e.col_support))
@@ -336,39 +354,20 @@ def _support_pair(
     m: PayoffMatrices,
     rows: tuple[int, ...],
     cols: tuple[int, ...],
+    s_full: np.ndarray,
+    r_full: np.ndarray,
+    degenerate: bool,
     tol: float,
-    res_tol: float,
 ) -> EquilibriumResult | None:
-    """The verified equilibrium with supports exactly (rows, cols), if any."""
-    got_s = _mixing_weights(m.u_adv, rows, cols, tol, res_tol)
-    if got_s is None:
-        return None
-    got_r = _mixing_weights(m.u_def.T, cols, rows, tol, res_tol)
-    if got_r is None:
-        return None
-    s_full, deg_s = got_s
-    r_full, deg_r = got_r
-    degenerate = deg_s or deg_r
-
-    adv_payoffs = s_full @ m.u_adv
-    v_adv = adv_payoffs[list(cols)].max()
-    def_payoffs = m.u_def @ r_full
-    v_def = def_payoffs[list(rows)].max()
-
-    for j in range(m.n_cols):
-        if j in cols:
-            continue
-        if adv_payoffs[j] > v_adv + tol:
-            return None
-        if adv_payoffs[j] > v_adv - tol:
-            degenerate = True  # off-support tie
-    for i in range(m.n_rows):
-        if i in rows:
-            continue
-        if def_payoffs[i] > v_def + tol:
-            return None
-        if def_payoffs[i] > v_def - tol:
-            degenerate = True
+    """The verified equilibrium with supports (rows, cols) and mixtures (s_full, r_full), if any."""
+    for payoffs, support in ((s_full @ m.u_adv, cols), (m.u_def @ r_full, rows)):
+        value = float(payoffs[list(support)].max())
+        for j, v in enumerate(payoffs.tolist()):
+            if j in support:
+                continue
+            if v > value + tol:
+                return None
+            degenerate |= v > value - tol  # an off-support tie
 
     s = Strategy(s_full)
     r = Strategy(r_full)

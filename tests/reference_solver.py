@@ -3,12 +3,15 @@
 A plain copy of the per-pair support enumeration loop and of the max-min
 vertex search as they were before ``clfgame.solver`` stacked its
 indifference systems into batched LAPACK calls: every system is built
-and solved on its own.  ``tests/test_solver_batched.py`` requires the
-batched code to return bit-identical results.  ``pure_equilibria`` is the
-double loop that ``clfgame.solver.pure_equilibria`` replaced with one
-boolean mask; ``tests/test_solver_screens.py`` requires equal lists, and
-solves each candidate of every support the batched max-min search skips
-with ``max_min_candidate``, one step of ``max_min_gap``.
+and solved on its own, and ``support_pair`` decides one support pair on
+its own.  ``tests/test_solver_batched.py`` requires the batched code to
+return bit-identical results.  ``pure_equilibria`` is the double loop
+that ``clfgame.solver.pure_equilibria`` replaced with one boolean mask;
+``tests/test_solver_screens.py`` requires equal lists, checks every pair
+the batched solver never hands to its per-pair tail against
+``support_pair``, and solves each candidate of every support the batched
+max-min search skips with ``max_min_candidate``, one step of
+``max_min_gap``.
 """
 
 from __future__ import annotations
@@ -81,66 +84,62 @@ def nonempty_subsets(size):
     return subsets
 
 
+def support_pair(m: PayoffMatrices, rows, cols, tol, res_tol) -> EquilibriumResult | None:
+    got_s = mixing_weights(m.u_adv, rows, cols, tol, res_tol)
+    if got_s is None:
+        return None
+    got_r = mixing_weights(m.u_def.T, cols, rows, tol, res_tol)
+    if got_r is None:
+        return None
+    s_full, deg_s = got_s
+    r_full, deg_r = got_r
+    degenerate = deg_s or deg_r
+
+    adv_payoffs = s_full @ m.u_adv
+    v_adv = adv_payoffs[list(cols)].max()
+    def_payoffs = m.u_def @ r_full
+    v_def = def_payoffs[list(rows)].max()
+
+    for j in range(m.n_cols):
+        if j in cols:
+            continue
+        if adv_payoffs[j] > v_adv + tol:
+            return None
+        if adv_payoffs[j] > v_adv - tol:
+            degenerate = True
+    for i in range(m.n_rows):
+        if i in rows:
+            continue
+        if def_payoffs[i] > v_def + tol:
+            return None
+        if def_payoffs[i] > v_def - tol:
+            degenerate = True
+
+    s = Strategy(s_full)
+    r = Strategy(r_full)
+    cert = verify_equilibrium(m, s, r, tol)
+    if not cert.certified:
+        return None
+    return EquilibriumResult(
+        s=s,
+        r=r,
+        row_support=rows,
+        col_support=cols,
+        max_deviation_gain=cert.max_gain,
+        degenerate=degenerate,
+    )
+
+
 def support_enumeration(m: PayoffMatrices, tol: float = DEFAULT_TOL) -> list[EquilibriumResult]:
-    n, mm = m.n_rows, m.n_cols
     scale = max(1.0, float(np.abs(m.u_adv).max()), float(np.abs(m.u_def).max()))
     res_tol = max(tol, 1e-11 * scale)
 
     results = []
-    for rows in nonempty_subsets(n):
-        for cols in nonempty_subsets(mm):
-            got_s = mixing_weights(m.u_adv, rows, cols, tol, res_tol)
-            if got_s is None:
-                continue
-            got_r = mixing_weights(m.u_def.T, cols, rows, tol, res_tol)
-            if got_r is None:
-                continue
-            s_full, deg_s = got_s
-            r_full, deg_r = got_r
-            degenerate = deg_s or deg_r
-
-            adv_payoffs = s_full @ m.u_adv
-            v_adv = adv_payoffs[list(cols)].max()
-            def_payoffs = m.u_def @ r_full
-            v_def = def_payoffs[list(rows)].max()
-
-            ok = True
-            for j in range(mm):
-                if j in cols:
-                    continue
-                if adv_payoffs[j] > v_adv + tol:
-                    ok = False
-                    break
-                if adv_payoffs[j] > v_adv - tol:
-                    degenerate = True
-            if not ok:
-                continue
-            for i in range(n):
-                if i in rows:
-                    continue
-                if def_payoffs[i] > v_def + tol:
-                    ok = False
-                    break
-                if def_payoffs[i] > v_def - tol:
-                    degenerate = True
-            if not ok:
-                continue
-
-            s = Strategy(s_full)
-            r = Strategy(r_full)
-            cert = verify_equilibrium(m, s, r, tol)
-            if not cert.certified:
-                continue
-            results.append(
-                EquilibriumResult(
-                    s=s,
-                    r=r,
-                    row_support=rows,
-                    col_support=cols,
-                    max_deviation_gain=cert.max_gain,
-                    degenerate=degenerate,
-                )
-            )
+    for rows in nonempty_subsets(m.n_rows):
+        for cols in nonempty_subsets(m.n_cols):
+            found = support_pair(m, rows, cols, tol, res_tol)
+            if found is not None:
+                results.append(found)
     results.sort(key=lambda e: (e.row_support, e.col_support))
     return results
 

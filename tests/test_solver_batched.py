@@ -61,7 +61,7 @@ def assert_same_equilibria(got, want):
         assert g.s.probs.tobytes() == w.s.probs.tobytes()
         assert g.r.probs.tobytes() == w.r.probs.tobytes()
         assert g.max_deviation_gain == w.max_deviation_gain
-        assert g.degenerate == w.degenerate
+        assert type(g.degenerate) is bool and g.degenerate == w.degenerate
 
 
 def assert_same_dominance(m: PayoffMatrices, monkeypatch):
@@ -199,29 +199,131 @@ def test_zero_budget_game_reaches_the_per_pair_path_once_per_equilibrium(monkeyp
     assert sorted(calls) == [(e.row_support, e.col_support) for e in found]
 
 
+def _res_tol(game):
+    # the residual tolerance support_enumeration hands the exact path
+    scale = max(1.0, float(np.abs(game.u_adv).max()), float(np.abs(game.u_def).max()))
+    return max(solver.DEFAULT_TOL, 1e-11 * scale)
+
+
+def _every_class(game):
+    """Each side's matrix with every (row sets, column sets, pairs) size class of it."""
+    for a in (game.u_adv, game.u_def.T):
+        for k in range(1, a.shape[0] + 1):
+            for l in range(1, a.shape[1] + 1):
+                own, opp = solver._index_sets(a.shape[0], k), solver._index_sets(a.shape[1], l)
+                yield a, own, opp, np.divmod(np.arange(len(own) * len(opp)), len(opp))
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_mixing_weights_matches_reference_on_every_pair(family):
-    # every pair on both sides, the pairs the screens drop included: the
-    # exact path's system and square solve come from the stacked kernel
+    # every pair of each size class on both sides, the pairs the screens
+    # drop included, decided in one stacked pass
     rng = np.random.default_rng([20260823, FAMILIES.index(family)])
     compared = 0
     for n, m in SHAPES:
         game = random_game(rng, family, n, m) if max(n, m) <= 4 else None
         if game is None:
             continue
-        scale = max(1.0, float(np.abs(game.u_adv).max()), float(np.abs(game.u_def).max()))
-        res_tol = max(solver.DEFAULT_TOL, 1e-11 * scale)
-        for a in (game.u_adv, game.u_def.T):
-            for rows in ref.nonempty_subsets(a.shape[0]):
-                for cols in ref.nonempty_subsets(a.shape[1]):
-                    got = solver._mixing_weights(a, rows, cols, solver.DEFAULT_TOL, res_tol)
-                    want = ref.mixing_weights(a, rows, cols, solver.DEFAULT_TOL, res_tol)
-                    assert (got is None) == (want is None)
-                    if want is not None:
-                        assert got[0].tobytes() == want[0].tobytes()
-                        assert type(got[1]) is bool and got[1] == want[1]
-                    compared += 1
+        res_tol = _res_tol(game)
+        for a, own, opp, pairs in _every_class(game):
+            accept, x_full, degenerate = solver._mixing_weights(
+                a, own, opp, pairs, solver.DEFAULT_TOL, res_tol
+            )
+            for p, (i, j) in enumerate(zip(*pairs)):
+                rows, cols = tuple(own[i].tolist()), tuple(opp[j].tolist())
+                want = ref.mixing_weights(a, rows, cols, solver.DEFAULT_TOL, res_tol)
+                assert accept[p] == (want is not None)
+                if want is not None:
+                    assert x_full[p].tobytes() == want[0].tobytes()
+                    assert degenerate[p] == want[1]
+                compared += 1
     assert compared > 1000
+
+
+@pytest.mark.parametrize("chunk", [None, 3])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_stacked_least_squares_matches_lstsq_on_every_unsolved_system(family, chunk, monkeypatch):
+    # each system the stacked solve leaves unsolved gets np.linalg.lstsq's
+    # bytes and residual verdict; chunks of 3 mix solved and unsolved
+    # square systems where some are singular and others not.  Each game is
+    # also run with its payoffs moved by less than the tolerance, which puts
+    # the residuals of its consistent systems near the verdict's threshold.
+    calls, mixed = [], []
+    least_squares, stacked = solver._least_squares, solver._stacked_indifference
+
+    def recording_least_squares(systems, res_tol):
+        got = least_squares(systems, res_tol)
+        calls.append((systems.copy(), res_tol, *got))
+        return got
+
+    def recording_stacked(*args):
+        for rows, lhs, sol, solved in stacked(*args):
+            mixed.append(solved.any() and not solved.all())
+            yield rows, lhs, sol, solved
+
+    if chunk:
+        monkeypatch.setattr(solver, "_STACK_CHUNK", chunk)
+    monkeypatch.setattr(solver, "_least_squares", recording_least_squares)
+    monkeypatch.setattr(solver, "_stacked_indifference", recording_stacked)
+    rng = np.random.default_rng([20260829, FAMILIES.index(family)])
+    for n, m in SHAPES:
+        game = random_game(rng, family, n, m) if max(n, m) <= 5 else None
+        if game is None:
+            continue
+        jitter = 0.5 * solver.DEFAULT_TOL
+        moved = PayoffMatrices(
+            u_adv=game.u_adv + jitter * rng.uniform(-1.0, 1.0, (n, m)),
+            u_def=game.u_def + jitter * rng.uniform(-1.0, 1.0, (n, m)),
+        )
+        for g in (game, moved):
+            res_tol = _res_tol(g)
+            for a, own, opp, pairs in _every_class(g):
+                solver._mixing_weights(a, own, opp, pairs, solver.DEFAULT_TOL, res_tol)
+
+    compared = rank_deficient = near_threshold = 0
+    for systems, res_tol, sol, consistent in calls:
+        for lhs, x, ok in zip(systems, sol, consistent):
+            rhs = np.zeros(len(lhs))
+            rhs[-1] = 1.0
+            want = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
+            resid = np.max(np.abs(lhs @ want - rhs))
+            assert x.tobytes() == want.tobytes()
+            assert ok == (not resid > res_tol)
+            rank_deficient += np.linalg.matrix_rank(lhs) < min(lhs.shape)
+            near_threshold += 1e-3 * res_tol < resid < 1e3 * res_tol
+            compared += 1
+    assert compared > 1000
+    if family != "generic":
+        assert rank_deficient > 0 and near_threshold > 0
+    if chunk and family in ("tied_columns", "integer"):
+        assert any(mixed)
+
+
+@pytest.mark.parametrize("family", ["zero_budget", "tied_columns"])
+def test_six_by_six_degenerate_games_stack_each_side_once_per_size_class(family, monkeypatch):
+    # the exact path stacks each class's surviving pairs once per side, and
+    # its least squares never falls back to numpy's one-system lstsq
+    game = random_game(np.random.default_rng([20260830, FAMILIES.index(family)]), family, 6, 6)
+    want = ref.support_enumeration(game)
+    counts = {"stacked": 0, "screen": 0}
+    stacked, screen = solver._stacked_indifference, solver._screen
+
+    def counting_stacked(*args):
+        counts["stacked"] += 1
+        return stacked(*args)
+
+    def counting_screen(*args):
+        counts["screen"] += 1
+        return screen(*args)
+
+    def no_lstsq(*args, **kwargs):
+        raise AssertionError("np.linalg.lstsq called by support enumeration")
+
+    monkeypatch.setattr(solver, "_stacked_indifference", counting_stacked)
+    monkeypatch.setattr(solver, "_screen", counting_screen)
+    monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
+    assert_same_equilibria(support_enumeration(game), want)
+    assert 0 < counts["stacked"] - counts["screen"] <= 2 * 6 * 6
 
 
 @pytest.mark.parametrize("family", ["generic", "tied_columns", "integer", "zero_budget"])

@@ -1,10 +1,12 @@
-"""Soundness of the stacked screens in front of the per-pair path.
+"""Soundness of the stacked screens and exact tests in front of the per-pair tail.
 
-``support_enumeration`` hands a support pair to ``_support_pair`` only if
-its stacked screens keep it.  A screen may keep pairs the exact path
-rejects, never the other way round: every pair it drops must be one on
-which ``_support_pair`` returns None.  On the same games, the boolean
-mask of ``pure_equilibria`` must list what the reference's loop lists.
+``support_enumeration`` hands a support pair to its per-pair tail,
+``_support_pair``, only if its stacked screens keep it and the stacked
+exact tests of both sides accept it.  Together they may keep pairs the
+one-pair reference rejects, never the other way round: every pair that
+never reaches the tail must be one on which ``reference_solver.support_pair``
+returns None.  On the same games, the boolean mask of ``pure_equilibria``
+must list what the reference's loop lists.
 The dominance max-min search skips supports by a pure bound before
 building their systems; every candidate of a skipped support must score
 strictly below the search's result.
@@ -65,10 +67,10 @@ def test_every_screened_out_pair_is_rejected_by_the_exact_path(family, n, m, see
     reached = set()
     support_pair = solver._support_pair
 
-    def recording(m_, rows, cols, tol_, res_tol_):
-        assert (tol_, res_tol_) == (tol, res_tol)
+    def recording(m_, rows, cols, s_full, r_full, degenerate, tol_):
+        assert tol_ == tol
         reached.add((rows, cols))
-        return support_pair(m_, rows, cols, tol_, res_tol_)
+        return support_pair(m_, rows, cols, s_full, r_full, degenerate, tol_)
 
     with pytest.MonkeyPatch.context() as patched:
         patched.setattr(solver, "_support_pair", recording)
@@ -77,7 +79,7 @@ def test_every_screened_out_pair_is_rejected_by_the_exact_path(family, n, m, see
     for rows in _supports(n):
         for cols in _supports(m):
             if (rows, cols) not in reached:
-                assert support_pair(game, rows, cols, tol, res_tol) is None, (rows, cols)
+                assert ref.support_pair(game, rows, cols, tol, res_tol) is None, (rows, cols)
 
 
 @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)

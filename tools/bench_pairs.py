@@ -30,7 +30,10 @@ The session stops at the first run that exits non-zero or prints
 nothing.  The record is still written, with each run set's completed
 pairs and an ``aborted`` entry naming the failed run (side, workload,
 seed, trace, exit code and the last 20 lines of its stderr), and the
-exit status is 1.
+exit status is 1.  A run that finishes with failed operations does not
+stop the session; the record lists it under ``failed_runs`` (side,
+workload, seed, trace, failed and attempted counts, and the ``failed op:``
+lines of its stderr).
 
 The trees and run copies live in a temporary directory that is removed
 at the end; the only file written is ``BENCH_<pr>.json`` at the repo
@@ -108,7 +111,10 @@ def run_once(tree: Path, work: Path, workload: str, seed: int, seconds: float, t
         lines = done.stdout.strip().splitlines()
         if done.returncode != 0 or not lines:
             raise RunFailed(done.returncode, done.stderr)
-        return json.loads(lines[-1])
+        result = json.loads(lines[-1])
+        result["failed_ops"] = [line.strip() for line in done.stderr.splitlines()
+                                if line.strip().startswith("failed op:")]
+        return result
     finally:
         shutil.rmtree(copy, ignore_errors=True)
 
@@ -217,6 +223,12 @@ def main() -> int:
                     for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
                         result = run_once(trees[side], work, workload, seed, seconds, trace)
                         results[side].append(result)
+                        if result["failed"]:
+                            record.setdefault("failed_runs", []).append({
+                                "side": side, "workload": workload, "seed": seed, "trace": trace,
+                                "failed": result["failed"], "attempted": result["attempted"],
+                                "failed_ops": result["failed_ops"],
+                            })
                         ops = result["metrics"].get("ops_per_s", {}).get("value")
                         print(f"{workload} trace={trace} seed={seed} {side}: ops_per_s={ops} "
                               f"failed={result['failed']}/{result['attempted']}", flush=True)
